@@ -1,8 +1,7 @@
 """Benchmark the JIT kernels against their pure-numpy fallbacks.
 
-Covers the three hot paths (stream fill + quantile transform, cyclic Jacobi
-eigensolve, per-sample zero-count scan) plus one end-to-end Monte Carlo
-study.  Each case is cross-checked for agreement between the two builds
+Covers the two hot paths (stream fill + quantile transform, per-sample
+zero-count scan) plus one end-to-end Monte Carlo study.  Each case is cross-checked for agreement between the two builds
 before timing.  Select the startup default with GRFLAB_NUMBA=0/1; this
 script toggles at runtime either way.
 
@@ -17,7 +16,6 @@ import numpy as np
 from grflab import SupNormBelow, estimate_probability, set_numba_enabled
 from grflab._accel import HAVE_NUMBA
 from grflab import counterexample as cx
-from grflab.linalg import eigh_jacobi
 from grflab.mc import _zero_count_rows
 from grflab.rng import normal_matrix
 
@@ -33,13 +31,6 @@ def timeit(fn, repeat):
 
 def bench_normals(repeat):
     return lambda: normal_matrix(0, np.arange(2000), 2000), "normal fill 4e6 draws"
-
-
-def bench_jacobi(repeat):
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((96, 96))
-    a = a + a.T
-    return lambda: eigh_jacobi(a), "jacobi eigensolve 96x96"
 
 
 def bench_zero_count(repeat):
@@ -65,7 +56,7 @@ def main():
         print("numba not importable: nothing to compare")
         return
 
-    cases = [bench_normals, bench_jacobi, bench_zero_count, bench_study]
+    cases = [bench_normals, bench_zero_count, bench_study]
     print(f"{'case':45s} {'numba':>10s} {'numpy':>10s} {'speedup':>8s}")
     for case in cases:
         fn, label = case(args.repeat)

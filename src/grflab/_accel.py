@@ -1,7 +1,7 @@
 """Runtime switch between numba-compiled kernels and pure-numpy fallbacks.
 
-Hot numeric kernels (random stream fills, quantile transforms, Jacobi
-sweeps, per-sample event scans) ship in two builds: a ``@njit`` version and
+Hot numeric kernels (random stream fills, quantile transforms, per-sample
+event scans) ship in two builds: a ``@njit`` version and
 a vectorized numpy version.  The active build is chosen per call through
 :func:`numba_enabled`, so tests and benchmarks can exercise both in one
 process.  The initial state comes from the ``GRFLAB_NUMBA`` environment

@@ -103,10 +103,12 @@ def unit_interval(resolution: int = _DEFAULT_RESOLUTION_1D) -> Box:
 
 @lru_cache(maxsize=128)
 def grid_points(b: Box) -> np.ndarray:
-    """All grid points of ``b`` as an (G, m) array, row-major over axes."""
+    """All grid points of ``b`` as a read-only (G, m) array, row-major over axes."""
     axes = [b.axis_points(i) for i in range(b.m)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    pts.setflags(write=False)
+    return pts
 
 
 # ---------------------------------------------------------------------------

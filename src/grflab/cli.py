@@ -418,7 +418,7 @@ def run(argv=None) -> int:
     except SchemaError as exc:
         print(f"grflab: schema error at {exc.pointer}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (GrflabError, ValueError, OSError) as exc:
+    except (GrflabError, ValueError, OSError, MemoryError) as exc:
         print(f"grflab: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     _write_report(report, rows, args)

@@ -126,6 +126,20 @@ def design_at_points(field: KLField, pts: np.ndarray, alpha: MultiIndex) -> np.n
     return out
 
 
+def jet_design(field: KLField, pts: np.ndarray, r: int) -> np.ndarray:
+    """Order-r jets of every basis function at every point: (N, G, k*P).
+
+    ``P = C(m+r, r)``; the last axis is ordered output-component-major,
+    then graded-lex in alpha, like :class:`grflab.jet.Jet` values.  One
+    :func:`design_at_points` call per multi-index, no per-point loop.
+    """
+    n_pts = pts.shape[0]
+    alphas = multi_indices(field.m, r)
+    per_alpha = [design_at_points(field, pts, a).reshape(field.size, n_pts, field.k)
+                 for a in alphas]
+    return np.stack(per_alpha, axis=-1).reshape(field.size, n_pts, field.k * len(alphas))
+
+
 def _windowed_sparse_design(field: KLField, b: Box, alpha: MultiIndex):
     # m == 1, k == 1, every basis function compactly supported: evaluate each
     # row only on the grid points inside its support window
@@ -154,17 +168,25 @@ def _windowed_sparse_design(field: KLField, b: Box, alpha: MultiIndex):
 
 @lru_cache(maxsize=64)
 def box_design(field: KLField, b: Box, alpha: MultiIndex):
-    """Design matrix on the box grid; sparse when dense would be oversized."""
+    """Design matrix on the box grid; sparse when dense would be oversized.
+
+    The result is cached and shared, so its arrays are read-only.
+    """
     if b.m != field.m:
         raise ValueError("box dimension does not match the field")
     n_entries = field.size * b.n_grid_points * field.k
     if n_entries > _DENSE_DESIGN_LIMIT:
         if field.m == 1 and field.k == 1 and all(
                 f.support_box() is not None for f in field.basis):
-            return _windowed_sparse_design(field, b, alpha)
+            design = _windowed_sparse_design(field, b, alpha)
+            for arr in (design.data, design.indices, design.indptr):
+                arr.setflags(write=False)
+            return design
         raise MemoryError(
             f"dense design of {n_entries} entries exceeds the supported size")
-    return design_at_points(field, grid_points(b), alpha)
+    design = design_at_points(field, grid_points(b), alpha)
+    design.setflags(write=False)
+    return design
 
 
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:
@@ -271,7 +293,7 @@ def projection_residual(field: KLField, g, b: Box) -> float:
 
     ``g`` may be a :class:`SamplePath`, a :class:`SupportBasisFunction`, or a
     callable point -> (k,) vector.  The normal equations are solved through
-    the Jacobi eigensolver with a pseudo-inverse cutoff; a Gram condition
+    the LAPACK eigensolver with a pseudo-inverse cutoff; a Gram condition
     estimate above 1e12 raises :class:`IllConditionedError` (report, don't
     guess).
     """

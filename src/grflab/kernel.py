@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .basis import Box, grid_points
 from .field import KLField, box_design, design_at_points
-from .linalg import eigh_jacobi
+from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
 _CLOSED_FORM_TAGS = ("dot", "affine_dot", "exp_dot")
@@ -106,54 +106,77 @@ def eval_kernel(K: CovarianceKernel, p, q) -> np.ndarray:
 
 def eval_kernel_deriv(K: CovarianceKernel, p, q, alpha, beta) -> np.ndarray:
     """Mixed partial d_alpha (in p) d_beta (in q) of K, as a (k, k) matrix."""
-    a = mi_validate(alpha, K.m)
-    b = mi_validate(beta, K.m)
     pt = _point(p, K.m).reshape(1, -1)
     qt = _point(q, K.m).reshape(1, -1)
-    if isinstance(K, KLKernel):
-        field = K.field
-        if field.size == 0:
-            return np.zeros((K.k, K.k))
-        fp = design_at_points(field, pt, a).reshape(field.size, K.k)
-        fq = design_at_points(field, qt, b).reshape(field.size, K.k)
-        w = field.sigma_array ** 2
+    return eval_kernel_deriv_pairs(K, pt, qt, alpha, beta)[0]
+
+
+def eval_kernel_deriv_pairs(K: CovarianceKernel, X: np.ndarray, Y: np.ndarray,
+                            alpha, beta) -> np.ndarray:
+    """d_alpha d_beta K at the point pairs (X[i], Y[i]): shape (n, k, k)."""
+    a = mi_validate(alpha, K.m)
+    b = mi_validate(beta, K.m)
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != K.m:
+        raise ValueError(f"need two (n, {K.m}) point arrays, got {X.shape} and {Y.shape}")
+    if isinstance(K, ClosedFormKernel):
+        # stacked (1, m) @ (m, 1) products round like one pair's p @ q
+        dot = np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+        return _closed_form_values(K, X, Y, dot, a, b).reshape(-1, 1, 1)
+    field, k = K.field, K.k
+    out = np.zeros((X.shape[0], k, k))
+    if field.size == 0:
+        return out
+    w = field.sigma_array ** 2
+    chunk = max(1, _BLOCK_ENTRIES // (field.size * k * k))
+    for start in range(0, X.shape[0], chunk):
+        stop = start + chunk
+        fp = design_at_points(field, X[start:stop], a).reshape(field.size, -1, k)
+        fq = design_at_points(field, Y[start:stop], b).reshape(field.size, -1, k)
         # per-term outer products first: commutativity then makes the
         # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
-        prod = fp[:, :, None] * fq[:, None, :]
-        return np.tensordot(w, prod, axes=(0, 0))
-    return _closed_form_block(K, pt, qt, a, b).reshape(1, 1)
+        prod = fp[:, :, :, None] * fq[:, :, None, :]
+        out[start:stop] = np.tensordot(w, prod, axes=(0, 0))
+    return out
 
 
 def _closed_form_block(K: ClosedFormKernel, X: np.ndarray, Y: np.ndarray,
                        alpha: MultiIndex, beta: MultiIndex) -> np.ndarray:
     """Closed-form derivative values on a pair grid: (len(X), len(Y))."""
-    nx, ny = X.shape[0], Y.shape[0]
+    return _closed_form_values(K, X[:, None, :], Y[None, :, :], X @ Y.T, alpha, beta)
+
+
+def _closed_form_values(K: ClosedFormKernel, X: np.ndarray, Y: np.ndarray,
+                        dot: np.ndarray, alpha: MultiIndex,
+                        beta: MultiIndex) -> np.ndarray:
+    """Closed-form derivative values at pairs of points.
+
+    ``X[..., i]`` and ``Y[..., i]`` are the pair coordinates along axis
+    ``i``; they broadcast against ``dot``, the pairs' inner products, whose
+    shape the result takes.
+    """
+    shape = dot.shape
     da, db = mi_order(alpha), mi_order(beta)
     if K.tag in ("dot", "affine_dot"):
         if da == 0 and db == 0:
-            vals = X @ Y.T
-            if K.tag == "affine_dot":
-                vals = vals + 1.0
-            return vals
+            return dot + 1.0 if K.tag == "affine_dot" else dot
         if da == 1 and db == 0:
-            i = alpha.index(1)
-            return np.broadcast_to(Y[:, i], (nx, ny)).copy()
+            return np.broadcast_to(Y[..., alpha.index(1)], shape).copy()
         if da == 0 and db == 1:
-            j = beta.index(1)
-            return np.broadcast_to(X[:, j][:, None], (nx, ny)).copy()
+            return np.broadcast_to(X[..., beta.index(1)], shape).copy()
         if da == 1 and db == 1:
-            val = 1.0 if alpha.index(1) == beta.index(1) else 0.0
-            return np.full((nx, ny), val)
-        return np.zeros((nx, ny))
+            return np.full(shape, 1.0 if alpha.index(1) == beta.index(1) else 0.0)
+        return np.zeros(shape)
     # exp_dot factorizes over axes: per axis the 1-D Leibniz formula
-    vals = np.exp(X @ Y.T)
+    vals = np.exp(dot)
     for i in range(K.m):
         a_i, b_i = alpha[i], beta[i]
         if a_i == 0 and b_i == 0:
             continue
-        s = X[:, i][:, None]
-        t = Y[:, i][None, :]
-        g = np.zeros((nx, ny))
+        s = X[..., i]
+        t = Y[..., i]
+        g = np.zeros(shape)
         for j in range(min(a_i, b_i) + 1):
             g = g + (math.comb(b_i, j) * math.perm(a_i, j)
                      * t ** (a_i - j) * s ** (b_i - j))
@@ -282,39 +305,46 @@ class PsdReport:
     tolerance: float
 
 
-def _kernel_fn(K):
-    # accept covariance kernels or bare (p, q) -> matrix callables, so test
-    # doubles that violate the kernel axioms can be checked too
-    if isinstance(K, (KLKernel, ClosedFormKernel)):
-        return lambda p, q: eval_kernel(K, p, q)
-    if callable(K):
-        return lambda p, q: np.atleast_2d(np.asarray(K(p, q), dtype=np.float64))
-    raise TypeError(f"not a kernel: {K!r}")
+def _callable_fn(K):
+    # bare (p, q) -> matrix callables, so test doubles that violate the
+    # kernel axioms can be checked too; they are evaluated pair by pair
+    if not callable(K):
+        raise TypeError(f"not a kernel: {K!r}")
+    return lambda p, q: np.atleast_2d(np.asarray(K(p, q), dtype=np.float64))
+
+
+def _is_kernel(K) -> bool:
+    return isinstance(K, (KLKernel, ClosedFormKernel))
 
 
 def check_symmetry(K, point_pairs, tol: float = 1e-12) -> SymmetryReport:
-    """Worst entrywise violation of K(p,q) = K(q,p)^T over the given pairs."""
-    fn = _kernel_fn(K)
-    worst = 0.0
-    for p, q in point_pairs:
-        gap = fn(p, q) - fn(q, p).T
-        worst = max(worst, float(np.max(np.abs(gap))) if gap.size else 0.0)
+    """Worst entrywise violation of K(p,q) = K(q,p)^T over the given pairs.
+
+    Covariance kernels are evaluated in one batch over all pairs.
+    """
+    pairs = list(point_pairs)
+    if _is_kernel(K):
+        zero = (0,) * K.m
+        P = np.array([_point(p, K.m) for p, _ in pairs]).reshape(-1, K.m)
+        Q = np.array([_point(q, K.m) for _, q in pairs]).reshape(-1, K.m)
+        gaps = [eval_kernel_deriv_pairs(K, P, Q, zero, zero)
+                - eval_kernel_deriv_pairs(K, Q, P, zero, zero).transpose(0, 2, 1)]
+    else:
+        fn = _callable_fn(K)
+        gaps = [fn(p, q) - fn(q, p).T for p, q in pairs]
+    worst = max((float(np.max(np.abs(g))) for g in gaps if g.size), default=0.0)
     return SymmetryReport(worst <= tol, worst, tol)
 
 
-def check_psd(K, points, tol: float | None = None) -> PsdReport:
-    """Min eigenvalue of the Gram matrix over <= 64 points.
-
-    Default tolerance is relative: 1e-9 times the largest diagonal entry,
-    absorbing round-off from the Gram assembly.
-    """
-    fn = _kernel_fn(K)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if isinstance(K, (KLKernel, ClosedFormKernel)) and pts.shape[1] != K.m:
-        pts = pts.reshape(-1, K.m)
+def _gram(K, pts: np.ndarray) -> np.ndarray:
+    """(n k, n k) Gram matrix K(p_i, p_j), point-major like design columns."""
+    if isinstance(K, KLKernel):
+        scaled = K.field.sigma_array[:, None] * design_at_points(K.field, pts, (0,) * K.m)
+        return scaled.T @ scaled
+    if isinstance(K, ClosedFormKernel):
+        return _closed_form_block(K, pts, pts, (0,) * K.m, (0,) * K.m)
+    fn = _callable_fn(K)
     n = pts.shape[0]
-    if n > 64:
-        raise ValueError("psd check supports at most 64 points (dense eigensolve)")
     k = fn(pts[0], pts[0]).shape[0]
     gram = np.empty((n * k, n * k))
     for i in range(n):
@@ -323,9 +353,22 @@ def check_psd(K, points, tol: float | None = None) -> PsdReport:
             gram[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
             if j > i:
                 gram[j * k:(j + 1) * k, i * k:(i + 1) * k] = block.T
+    return gram
+
+
+def check_psd(K, points, tol: float | None = None) -> PsdReport:
+    """Min eigenvalue of the Gram matrix over the points, by LAPACK.
+
+    Covariance kernels build the Gram matrix in one batched call.  Default
+    tolerance is relative: 1e-9 times the largest diagonal entry, absorbing
+    round-off from the Gram assembly.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if _is_kernel(K) and pts.shape[1] != K.m:
+        pts = pts.reshape(-1, K.m)
+    gram = _gram(K, pts)
     gram = 0.5 * (gram + gram.T)
-    w, _ = eigh_jacobi(gram)
-    min_eig = float(w[0]) if w.size else 0.0
+    min_eig, _ = eig_bounds(gram)
     if tol is None:
         tol = 1e-9 * max(0.0, float(np.max(np.diag(gram)))) if gram.size else 0.0
     return PsdReport(min_eig >= -tol, min_eig, tol)

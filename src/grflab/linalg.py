@@ -1,128 +1,47 @@
-"""Small dense symmetric eigensolver and guarded pseudo-inverse solves.
+"""Symmetric eigensolves and guarded pseudo-inverse solves on LAPACK.
 
-The eigensolver is a cyclic-by-row Jacobi iteration.  It is slower than
-LAPACK but deterministic, dependency-free in the hot path, and exact enough
-for the matrix sizes used here (Gram and jet covariance matrices, side at
-most a few hundred).  A sweep rotates every off-diagonal pair (p, q) in a
-fixed order; iteration stops when the off-diagonal Frobenius mass drops
-below ``rel_tol`` times the Frobenius norm of the input.
+:func:`eigh` and :func:`eigvalsh` are thin checked wrappers over
+``numpy.linalg.eigh`` / ``eigvalsh`` (LAPACK ``syevd``).  Both accept a
+single matrix or a stack ``(..., n, n)``, read only the lower triangle, and
+refuse non-square or non-finite input instead of returning a meaningless
+spectrum.  LAPACK is deterministic for a fixed build and thread count, so
+reports built on these spectra stay byte-identical run to run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import njit, numba_enabled
 from .exceptions import IllConditionedError
 
-_DEFAULT_REL_TOL = 1e-12
-_MAX_SWEEPS = 60
+
+def _checked(A) -> np.ndarray:
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    return A
 
 
-@njit(cache=True)
-def _jacobi_nb(A, V, off_tol, max_sweeps):
-    n = A.shape[0]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                off += 2.0 * A[i, j] * A[i, j]
-        if np.sqrt(off) <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = A[k, p]
-                    akq = A[k, q]
-                    A[k, p] = c * akp - s * akq
-                    A[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = A[p, k]
-                    aqk = A[q, k]
-                    A[p, k] = c * apk - s * aqk
-                    A[q, k] = s * apk + c * aqk
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - s * vkq
-                    V[k, q] = s * vkp + c * vkq
-
-
-def _jacobi_np(A, V, off_tol, max_sweeps):
-    n = A.shape[0]
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                akp = A[:, p].copy()
-                akq = A[:, q].copy()
-                A[:, p] = c * akp - s * akq
-                A[:, q] = s * akp + c * akq
-                apk = A[p, :].copy()
-                aqk = A[q, :].copy()
-                A[p, :] = c * apk - s * aqk
-                A[q, :] = s * apk + c * aqk
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vkp = V[:, p].copy()
-                vkq = V[:, q].copy()
-                V[:, p] = c * vkp - s * vkq
-                V[:, q] = s * vkp + c * vkq
-
-
-def eigh_jacobi(A: np.ndarray, rel_tol: float = _DEFAULT_REL_TOL,
-                max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix (or a stack of them).
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and orthonormal
     columns ``V`` so that ``A = V @ diag(w) @ V.T``.
     """
-    A = np.array(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = A.shape[0]
-    if n == 0:
-        return np.empty(0), np.empty((0, 0))
-    norm = np.sqrt(np.sum(A * A))
-    V = np.eye(n)
-    if norm > 0.0:
-        off_tol = rel_tol * norm
-        if numba_enabled():
-            _jacobi_nb(A, V, off_tol, max_sweeps)
-        else:
-            _jacobi_np(A, V, off_tol, max_sweeps)
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    w, V = np.linalg.eigh(_checked(A))
+    return w, V
+
+
+def eigvalsh(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (or a stack of them)."""
+    return np.linalg.eigvalsh(_checked(A))
 
 
 def eig_bounds(A: np.ndarray) -> tuple[float, float]:
     """(min, max) eigenvalue of a symmetric matrix."""
-    w, _ = eigh_jacobi(A)
+    w = eigvalsh(A)
     if w.size == 0:
         return 0.0, 0.0
     return float(w[0]), float(w[-1])
@@ -138,7 +57,7 @@ def solve_psd_pinv(A: np.ndarray, b: np.ndarray, cond_limit: float = 1e12,
     :class:`IllConditionedError`: the caller gets a report instead of a
     guess.
     """
-    w, V = eigh_jacobi(A)
+    w, V = eigh(A)
     if w.size == 0:
         return np.zeros_like(np.asarray(b, dtype=np.float64))
     wmax = float(w[-1])

@@ -160,3 +160,14 @@ def test_file_inputs(tmp_path, capsys):
                 "--samples", "200"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["p_hat"] <= 1.0
+
+
+def test_oversized_dense_design_is_an_error_line(capsys):
+    basis = [{"type": "harmonic", "frequency": [1.0 + i, 0.5 * i], "phase": 0.1 * i,
+              "amplitude": [1.0]} for i in range(10)]
+    field = json.dumps({"m": 2, "k": 1, "basis": basis})
+    b = json.dumps({"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": [700, 700]})
+    assert run(["seminorm", "--field", field, "--order", "1", "--box", b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("grflab: error: ")
+    assert "4914010 entries" in err and "Traceback" not in err

@@ -7,7 +7,7 @@ from grflab import (Bump, Harmonic, IllConditionedError, Monomial, RandomStream,
                     SamplePath, cm_inner, eval_kernel, eval_sample,
                     grid_points, kernel_of, kl_field, projection_residual,
                     sample, sample_seminorm, support_basis, unit_interval)
-from grflab.field import sample_batch_coeffs, design_at_points
+from grflab.field import box_design, design_at_points, jet_design, sample_batch_coeffs
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -171,3 +171,34 @@ def test_multivariate_output_paths():
     want = np.array([0.5, -1.0]) + 2.0 * np.array([0.5 * math.cos(0.5)] * 2)
     assert np.allclose(v, want, atol=1e-15)
     assert sample_seminorm(path, unit_interval(32), 1) > 0
+
+
+def test_cached_arrays_are_read_only():
+    b = unit_interval(8)
+    pts = grid_points(b)
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    dense = box_design(kl_field([ONE, T]), b, (0,))
+    with pytest.raises(ValueError):
+        dense[0, 0] = 1.0
+    # 50 narrow bumps on a 100001-point grid exceed the dense limit
+    bumps = kl_field([Bump((0.02 * i + 0.01,), 0.005, (1.0,)) for i in range(50)])
+    sparse = box_design(bumps, unit_interval(100_000), (0,))
+    assert sparse.nnz > 0
+    for arr in (sparse.data, sparse.indices, sparse.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_jet_design_layout(rng_np):
+    basis = [Monomial((2, 1), (1.0, -0.5)), Harmonic((1.0, 2.0), 0.3, (0.5, 1.0)),
+             Bump((0.2, 0.1), 0.9, (0.7, 0.2))]
+    f = kl_field(basis)
+    pts = rng_np.uniform(-0.5, 0.5, (5, 2))
+    alphas = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    J = jet_design(f, pts, 2)
+    assert J.shape == (3, 5, 2 * len(alphas))
+    for n, bf in enumerate(basis):
+        for g, p in enumerate(pts):
+            for ai, a in enumerate(alphas):
+                assert np.array_equal(J[n, g, [ai, len(alphas) + ai]], bf.eval_partial(p, a))

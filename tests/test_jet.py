@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grflab import (Harmonic, Monomial, SamplePath, Scaled, jet_covariance,
+from grflab import (Bump, Harmonic, Monomial, SamplePath, Scaled, jet_covariance,
                     jet_dimension, jet_eval, kernel_of, kl_field,
                     nondegeneracy_certificate, scan_nondegeneracy,
                     unit_interval)
+from grflab.basis import box, grid_points
+from grflab.kernel import eval_kernel_deriv
 from grflab.field import sample_batch_coeffs, design_at_points
 from grflab.multiindex import multi_indices
 
@@ -99,6 +102,14 @@ def test_scan_examples():
     assert scan.worst_ratio < 1e-9
 
 
+def test_scan_ties_go_to_first_grid_point():
+    # order-0 jets of a constant field: the ratio is exactly 1 everywhere
+    scan = scan_nondegeneracy(kernel_of(kl_field([Monomial((0, 0), (2.0,))])),
+                              box([0.0, -1.0], [1.0, 1.0], 4), 0)
+    assert scan.all_pass and scan.worst_ratio == 1.0
+    assert scan.worst_point == (0.0, -1.0)
+
+
 def test_rank_bounded_by_expansion_size():
     f = kl_field([ONE, T])
     cert = nondegeneracy_certificate(kernel_of(f), [0.4], 2)
@@ -134,3 +145,75 @@ def test_empirical_jet_covariance_matches():
             prod = jets[:, i] * jets[:, j]
             se = prod.std(ddof=1) / np.sqrt(n)
             assert abs(emp[i, j] - want[i, j]) <= 5.0 * se
+
+
+# -- batched scan against a per-point reference ------------------------------
+
+def _basis_function(draw, m, k):
+    amp = tuple(draw(st.floats(-1.5, 1.5)) for _ in range(k))
+    kind = draw(st.sampled_from(["harmonic", "monomial", "bump"]))
+    if kind == "harmonic":
+        return Harmonic(tuple(draw(st.floats(-4.0, 4.0)) for _ in range(m)),
+                        draw(st.floats(0.0, 6.3)), amp)
+    if kind == "monomial":
+        return Monomial(tuple(draw(st.integers(0, 2)) for _ in range(m)), amp)
+    return Bump(tuple(draw(st.floats(0.0, 1.0)) for _ in range(m)),
+                draw(st.floats(0.3, 1.2)), amp)
+
+
+@st.composite
+def jet_cases(draw):
+    m = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 2))
+    r = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 6))
+    basis = [_basis_function(draw, m, k) for _ in range(n)]
+    sigmas = [draw(st.floats(0.3, 1.5)) for _ in range(n)]
+    res = draw(st.integers(1, 8 if m == 1 else 3))
+    return kl_field(basis, sigmas, m=m, k=k), box([0.0] * m, [1.0] * m, res), r
+
+
+def _reference_ratios(K, b, r):
+    """min/max eigenvalue per grid point, one eval_kernel_deriv per entry."""
+    alphas = multi_indices(K.m, r)
+    n_a = len(alphas)
+    out = []
+    for p in grid_points(b):
+        cov = np.empty((K.k * n_a, K.k * n_a))
+        for ai, a in enumerate(alphas):
+            for bi, bb in enumerate(alphas):
+                block = eval_kernel_deriv(K, p, p, a, bb)
+                for j in range(K.k):
+                    for l in range(K.k):
+                        cov[j * n_a + ai, l * n_a + bi] = block[j, l]
+        w = np.linalg.eigvalsh(cov)
+        out.append(w[0] / w[-1] if w[-1] > 0.0 else 0.0)
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_cases())
+def test_batched_scan_matches_per_point_reference(case):
+    """Ratios agree to 1e-9 relative, with a 1e-13 absolute floor for the
+    round-off-level ratios of rank-deficient jets.  The worst point must be
+    identical whenever the reference minimum is separated from every other
+    point by more than that tolerance; among tied minima (stationary fields,
+    rank-deficient jets) it must be one of the tied points."""
+    field, b, r = case
+    rel_tol = 1e-9
+    ref = _reference_ratios(kernel_of(field), b, r)
+    scan = scan_nondegeneracy(kernel_of(field), b, r, rel_tol)
+    tol = 1e-9 * np.abs(ref) + 1e-13
+    assert scan.n_points == ref.size
+    if not np.any(np.abs(ref - rel_tol) <= tol):  # no point on the threshold
+        assert scan.n_failures == int(np.count_nonzero(ref <= rel_tol))
+        assert scan.all_pass == (scan.n_failures == 0)
+    want = int(np.argmin(ref))
+    assert abs(scan.worst_ratio - ref[want]) <= tol[want]
+    got = [g for g, p in enumerate(grid_points(b)) if tuple(p) == scan.worst_point]
+    assert len(got) == 1
+    tied = np.nonzero(ref <= ref[want] + 2 * tol[want])[0]
+    if tied.size == 1:
+        assert got[0] == want
+    else:
+        assert got[0] in tied

@@ -137,8 +137,13 @@ def test_check_psd():
     neg = lambda p, q: np.array([[-1.0]])
     rep = check_psd(neg, np.array([[0.0], [1.0]]))
     assert not rep.passed
-    with pytest.raises(ValueError):
-        check_psd(st_kernel(), np.zeros((65, 1)))
+    # no point cap: 65 points match a LAPACK spectrum of the brute-force Gram
+    K = kernel_of(mixed_field())
+    pts = np.linspace(0, 1, 65).reshape(-1, 1)
+    rep = check_psd(K, pts)
+    gram = np.array([[eval_kernel(K, p, q)[0, 0] for q in pts] for p in pts])
+    w = np.linalg.eigvalsh(gram)
+    assert rep.passed and abs(rep.min_eigenvalue - w[0]) <= 1e-12 * w[-1]
 
 
 def test_gram_rank_bounded_by_expansion_size():

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from grflab import IllConditionedError
-from grflab._accel import HAVE_NUMBA, numba_enabled, set_numba_enabled
-from grflab.linalg import eig_bounds, eigh_jacobi, solve_psd_pinv
+from grflab.linalg import eig_bounds, eigh, eigvalsh, solve_psd_pinv
 
 
 def test_matches_lapack_oracle(rng_np):
     for n in (2, 5, 20, 40):
         a = rng_np.standard_normal((n, n))
         a = a + a.T
-        w, v = eigh_jacobi(a)
+        w, v = eigh(a)
         scale = max(1.0, np.abs(a).max())
         assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-11 * scale)
         assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
@@ -20,19 +19,19 @@ def test_matches_lapack_oracle(rng_np):
 def test_eigenvalues_sorted(rng_np):
     a = rng_np.standard_normal((12, 12))
     a = a + a.T
-    w, _ = eigh_jacobi(a)
+    w, _ = eigh(a)
     assert np.all(np.diff(w) >= 0)
 
 
 def test_zero_and_empty():
-    w, v = eigh_jacobi(np.zeros((3, 3)))
+    w, v = eigh(np.zeros((3, 3)))
     assert np.array_equal(w, np.zeros(3))
-    w, v = eigh_jacobi(np.zeros((0, 0)))
+    w, v = eigh(np.zeros((0, 0)))
     assert w.size == 0
 
 
 def test_diagonal_passthrough():
-    w, _ = eigh_jacobi(np.diag([3.0, -1.0, 2.0]))
+    w, _ = eigh(np.diag([3.0, -1.0, 2.0]))
     assert np.array_equal(w, np.array([-1.0, 2.0, 3.0]))
 
 
@@ -60,17 +59,19 @@ def test_solve_refuses_ill_conditioned():
         solve_psd_pinv(np.zeros((2, 2)), np.ones(2))
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_paths_agree(rng_np):
-    a = rng_np.standard_normal((15, 15))
-    a = a + a.T
-    state = numba_enabled()
-    try:
-        set_numba_enabled(True)
-        w1, v1 = eigh_jacobi(a)
-        set_numba_enabled(False)
-        w2, v2 = eigh_jacobi(a)
-    finally:
-        set_numba_enabled(state)
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(v1, v2)
+def test_stack_matches_single(rng_np):
+    a = rng_np.standard_normal((4, 6, 6))
+    a = a + a.transpose(0, 2, 1)
+    w = eigvalsh(a)
+    assert w.shape == (4, 6)
+    for i in range(4):
+        assert np.allclose(w[i], eigh(a[i])[0], atol=1e-12 * np.abs(a[i]).max())
+
+
+def test_rejects_non_square_and_non_finite():
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                np.array([[np.inf]])):
+        with pytest.raises(ValueError):
+            eigh(bad)
+        with pytest.raises(ValueError):
+            eigvalsh(bad)
