@@ -7,7 +7,6 @@ all computed exactly; Monte Carlo estimation with reproducible splittable
 streams covers the probabilistic side.
 """
 
-from ._accel import numba_enabled, set_numba_enabled, set_threads
 from .basis import (BUMP_MAX_DERIV_ORDER, BasisFunction, Box, Bump, Harmonic,
                     Monomial, Scaled, box, fd_check, grid_points, unit_interval)
 from .counterexample import (CounterexampleConfig, IteratedIntegralTransform,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import counterexample as cx
-from ._accel import set_threads
 from .basis import box, grid_points, unit_interval
 from .exceptions import GrflabError, SchemaError
 from .field import apply_design, box_design, sample_batch_coeffs
@@ -119,9 +119,6 @@ def _write_report(report: dict, rows: list[dict], args) -> None:
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default="-", help="report path, '-' for stdout")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("GRFLAB_THREADS", "0")) or None,
-                   help="cap for JIT worker threads (default: GRFLAB_THREADS)")
 
 
 def build_parser() -> _Parser:
@@ -411,8 +408,6 @@ _COMMANDS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        set_threads(args.threads)
     try:
         report, rows, code = _COMMANDS[args.command](args)
     except SchemaError as exc:
@@ -427,6 +422,10 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+# keep the gen-2 collections of a command from re-scanning the import-time heap
+gc.freeze()
 
 
 if __name__ == "__main__":

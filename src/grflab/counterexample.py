@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .basis import Box, Bump, unit_interval
 from .field import KLField, SamplePath, eval_sample, kl_field
@@ -133,6 +132,10 @@ class IteratedIntegralTransform:
     base_point: float
 
     def apply(self, path: SamplePath) -> np.ndarray:
+        # imported here, not at module level: scipy.integrate pulls in
+        # scipy.optimize and scipy.linalg, which no CLI command needs
+        from scipy.integrate import cumulative_simpson
+
         vals = eval_sample(path, self.grid.reshape(-1, 1)).ravel()
         for _ in range(self.order):
             vals = cumulative_simpson(vals, dx=self.step, initial=0.0)

@@ -47,6 +47,11 @@ class KLField:
         for f in self.basis:
             if (f.m, f.k) != (self.m, self.k):
                 raise ValueError("all basis functions must share (m, k)")
+        # cache keys hash the field on every lookup; hash the terms only once
+        object.__setattr__(self, "_hash", hash((self.basis, self.sigmas, self.m, self.k)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:

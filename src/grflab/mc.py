@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.special import betaincinv
 
-from ._accel import njit, numba_enabled
 from .basis import Box
 from .field import (KLField, apply_design, batch_seminorms, box_design,
                     sample_batch_coeffs)
@@ -84,57 +84,11 @@ def _check_event(event: EventSpec, field: KLField) -> None:
             raise ValueError("zero-count events need m = 1, k = 1")
 
 
-@njit(cache=True)
-def _zero_count_nb(vals, out):
-    rows, cols = vals.shape
-    for s in range(rows):
-        count = 0
-        last = 0
-        for g in range(cols):
-            v = vals[s, g]
-            if v == 0.0:
-                count += 1
-                last = 0
-            elif v > 0.0:
-                if last < 0:
-                    count += 1
-                last = 1
-            else:
-                if last > 0:
-                    count += 1
-                last = -1
-        out[s] = count
-
-
 def _zero_count_rows(vals: np.ndarray) -> np.ndarray:
-    if numba_enabled():
-        out = np.empty(vals.shape[0], dtype=np.int64)
-        _zero_count_nb(vals, out)
-        return out
+    """Zeros per row: exact zeros plus strict sign changes between neighbours."""
     sign = np.sign(vals)
-    out = np.empty(vals.shape[0], dtype=np.int64)
-    has_zero = (sign == 0.0).any(axis=1)
-    clean = ~has_zero
-    if clean.any():
-        s = sign[clean]
-        out[clean] = np.sum(s[:, :-1] * s[:, 1:] < 0.0, axis=1)
-    for idx in np.nonzero(has_zero)[0]:
-        count = 0
-        last = 0
-        for v in vals[idx]:
-            if v == 0.0:
-                count += 1
-                last = 0
-            elif v > 0.0:
-                if last < 0:
-                    count += 1
-                last = 1
-            else:
-                if last > 0:
-                    count += 1
-                last = -1
-        out[idx] = count
-    return out
+    return (np.count_nonzero(sign == 0.0, axis=1)
+            + np.count_nonzero(sign[:, :-1] * sign[:, 1:] < 0.0, axis=1))
 
 
 def _indicator_batch(event: EventSpec, field: KLField, coeffs: np.ndarray) -> np.ndarray:
@@ -163,7 +117,13 @@ def _indicator_batch(event: EventSpec, field: KLField, coeffs: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Estimate with normal-approximation 95% confidence interval."""
+    """Estimate with a 95% confidence interval.
+
+    For event probabilities ``ci95`` is the exact Clopper-Pearson interval
+    of the hit count, which stays non-degenerate at 0 and ``n_samples``
+    hits; for means it is the normal approximation ``mean +- 1.96 stderr``.
+    ``stderr`` is the plug-in standard error in both cases.
+    """
 
     p_hat: float
     stderr: float
@@ -175,8 +135,8 @@ class MCEstimate:
 def _indicator_estimate(count: int, n: int, seed: int) -> MCEstimate:
     p = count / n
     se = math.sqrt(p * (1.0 - p) / n)
-    lo = max(0.0, p - 1.96 * se)
-    hi = min(1.0, p + 1.96 * se)
+    lo = 0.0 if count == 0 else float(betaincinv(count, n - count + 1, 0.025))
+    hi = 1.0 if count == n else float(betaincinv(count + 1, n - count, 0.975))
     return MCEstimate(p, se, n, seed, (lo, hi))
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc as _erfc_vec
 
-from ._accel import njit, numba_enabled, prange
 from .exceptions import DomainError
 
 _M64 = (1 << 64) - 1
@@ -70,7 +69,7 @@ def stream_key(seed: int, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# uniform words: numpy path
+# uniform words
 # ---------------------------------------------------------------------------
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -81,50 +80,14 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _uniforms_numpy(seed: int, indices: np.ndarray, n: int, offset: int) -> np.ndarray:
+def uniform_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
+    """Uniforms in (0,1): row s holds draws offset..offset+n-1 of stream indices[s]."""
     g = np.uint64(GAMMA)
-    idx = indices.astype(np.uint64)
+    idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
     keys = _mix64_np(np.uint64(seed & _M64) + (idx + np.uint64(1)) * g)
     counters = (np.arange(offset + 1, offset + n + 1, dtype=np.uint64)) * g
     words = _mix64_np(keys[:, None] + counters[None, :])
     return (np.float64(words >> np.uint64(11)) + 0.5) * 2.0 ** -53
-
-
-# ---------------------------------------------------------------------------
-# uniform words: numba path
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _mix64_nb(z):
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-@njit(cache=True, parallel=True)
-def _uniforms_nb(seed_u, idx_u, n, offset_u, out):
-    g = np.uint64(0x9E3779B97F4A7C15)
-    one = np.uint64(1)
-    for s in prange(idx_u.shape[0]):
-        key = _mix64_nb(seed_u + (idx_u[s] + one) * g)
-        c = key + offset_u * g
-        for i in range(n):
-            c = c + g
-            w = _mix64_nb(c)
-            out[s, i] = (np.float64(w >> np.uint64(11)) + 0.5) * 2.0 ** -53
-
-
-def uniform_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
-    """Uniforms in (0,1): row s holds draws offset..offset+n-1 of stream indices[s]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if numba_enabled():
-        out = np.empty((idx.shape[0], n), dtype=np.float64)
-        _uniforms_nb(np.uint64(seed & _M64), idx.astype(np.uint64), n,
-                     np.uint64(offset), out)
-        return out
-    return _uniforms_numpy(seed, idx, n, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -177,34 +140,19 @@ def _quantile_refine_numpy(u: np.ndarray) -> np.ndarray:
     return x
 
 
-@njit(cache=True)
-def _acklam_scalar(u):
-    if u < 0.02425:
-        q = math.sqrt(-2.0 * math.log(u))
-        return (((((-7.784894002430293e-03 * q + -3.223964580411365e-01) * q +
-                   -2.400758277161838e+00) * q + -2.549732539343734e+00) * q +
-                 4.374664141464968e+00) * q + 2.938163982698783e+00) / \
-               ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q +
-                  2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0)
-    if u > 1.0 - 0.02425:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        return -(((((-7.784894002430293e-03 * q + -3.223964580411365e-01) * q +
-                    -2.400758277161838e+00) * q + -2.549732539343734e+00) * q +
-                  4.374664141464968e+00) * q + 2.938163982698783e+00) / \
-               ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q +
-                  2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0)
+def _acklam_scalar(u: float) -> float:
+    if u < _P_LOW or u > 1.0 - _P_LOW:
+        q = math.sqrt(-2.0 * math.log(u if u < _P_LOW else 1.0 - u))
+        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+        return x if u < _P_LOW else -x
     q = u - 0.5
     r = q * q
-    return (((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r +
-               -2.759285104469687e+02) * r + 1.383577518672690e+02) * r +
-             -3.066479806614716e+01) * r + 2.506628277459239e+00) * q / \
-           (((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r +
-               -1.556989798598866e+02) * r + 6.680131188771972e+01) * r +
-             -1.328068155288572e+01) * r + 1.0)
+    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
+           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
 
 
-@njit(cache=True)
-def _quantile_scalar(u):
+def _quantile_scalar(u: float) -> float:
     x = _acklam_scalar(u)
     if u < 0.5:
         sign = -1.0
@@ -213,18 +161,11 @@ def _quantile_scalar(u):
         sign = 1.0
         q = 1.0 - u
     for _ in range(2):
+        # literal constants: 1/sqrt(2) here is one ulp above _INV_SQRT2
         tail = 0.5 * math.erfc(sign * x * 0.7071067811865476)
         phi = math.exp(-0.5 * x * x) * 0.3989422804014327
         x = x + sign * (tail - q) / phi
     return x
-
-
-@njit(cache=True, parallel=True)
-def _quantile_nb(u, out):
-    rows, cols = u.shape
-    for i in prange(rows):
-        for j in range(cols):
-            out[i, j] = _quantile_scalar(u[i, j])
 
 
 def normal_quantile(u):
@@ -239,17 +180,12 @@ def normal_quantile(u):
     uf = float(u)
     if not 0.0 < uf < 1.0:
         raise DomainError("quantile argument must lie strictly in (0, 1)")
-    return float(_quantile_scalar(uf))
+    return _quantile_scalar(uf)
 
 
 def normal_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
     """Standard normal draws: row s holds draws of stream indices[s]."""
-    u = uniform_matrix(seed, indices, n, offset)
-    if numba_enabled():
-        out = np.empty_like(u)
-        _quantile_nb(u, out)
-        return out
-    return _quantile_refine_numpy(u)
+    return _quantile_refine_numpy(uniform_matrix(seed, indices, n, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +211,7 @@ class RandomStream:
         return out
 
     def normals(self, n: int) -> np.ndarray:
-        u = self.uniforms(n)
-        if numba_enabled():
-            out = np.empty((1, n), dtype=np.float64)
-            _quantile_nb(u.reshape(1, -1), out)
-            return out[0]
-        return _quantile_refine_numpy(u)
+        return _quantile_refine_numpy(self.uniforms(n))
 
     def derive(self, index: int) -> "RandomStream":
         """Fresh stream with the same seed and a new index (counter 0)."""

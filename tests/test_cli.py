@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,10 +121,17 @@ def test_every_subcommand_has_help(capsys):
         assert len(capsys.readouterr().out) > 50
 
 
-def test_threads_flag(capsys):
-    assert run(["seminorm", "--field", FIELD_T, "--order", "0",
-                "--threads", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["seminorm"] == 1.0
+def test_import_loads_no_unused_scipy_subpackages():
+    # every command pays for what `import grflab.cli` loads, and none uses these
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, grflab.cli; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert "grflab.cli" in loaded
+    for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.stats"):
+        assert name not in loaded
 
 
 def test_gauss_ratio_command(capsys):

@@ -149,6 +149,21 @@ def test_second_order_integral_round_trip():
     assert np.max(np.abs(got - exact)) <= 1e-4
 
 
+def test_iterated_integral_pinned_values():
+    # scipy.integrate is imported lazily inside apply; the tabulation is unchanged
+    coeffs = np.array([0.7, -0.4, 1.1, 0.2])
+    pinned = {1: (0.21724205803881702, 0.040732885882278226, 0.12356204610951597,
+                  445.10725271573256),
+              2: (0.1086422440641393, 0.029274109847296108, 0.03764070411205888,
+                  150.450638438011)}
+    for order, want in pinned.items():
+        cfg = cx.config(2, integration_order=order)
+        tab = cx.build_Y_n(cfg).apply(SamplePath(cx.build_X_n(cfg), coeffs))
+        assert tab.shape == (4507,)
+        got = (tab[-1], tab[2500], tab[3000], tab.sum())
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_study_rows():
     rows = cx.study([2], n_samples=500, seed=0)
     row = rows[0]

@@ -190,6 +190,21 @@ def test_cached_arrays_are_read_only():
             arr[0] = arr[0]
 
 
+def test_equal_fields_share_design_cache_entries():
+    def build():
+        return kl_field([Bump((0.1 * i + 0.05,), 0.04, (1.0,)) for i in range(10)],
+                        [0.5 + 0.1 * i for i in range(10)])
+
+    f, g = build(), build()
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != kl_field(f.basis, [1.0] * 10)
+    b = unit_interval(64)
+    first = box_design(f, b, (1,))
+    hits = box_design.cache_info().hits
+    assert box_design(g, b, (1,)) is first
+    assert box_design.cache_info().hits == hits + 1
+
+
 def test_jet_design_layout(rng_np):
     basis = [Monomial((2, 1), (1.0, -0.5)), Harmonic((1.0, 2.0), 0.3, (0.5, 1.0)),
              Bump((0.2, 0.1), 0.9, (0.7, 0.2))]

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grflab import (DegenerateZero, Monomial, PositiveOnBox, Scaled,
                     SupNormBelow, ZeroCountEquals, empirical_sup_mean,
                     estimate_probability, gaussian_ratio, kl_field, limit_study,
                     normal_cdf, unit_interval)
-from grflab._accel import HAVE_NUMBA, numba_enabled, set_numba_enabled
-from grflab.mc import _zero_count_rows
+from grflab import counterexample as cx
+from grflab.field import apply_design, box_design, sample_batch_coeffs
+from grflab.mc import _indicator_estimate, _zero_count_rows
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -26,7 +28,8 @@ def test_constant_field_sup_norm_probability():
 def test_empty_field_probability_one():
     f = kl_field([], m=1, k=1)
     est = estimate_probability(f, SupNormBelow(BOX, 0, 0.5), 500, 0)
-    assert est.p_hat == 1.0 and est.stderr == 0.0 and est.ci95 == (1.0, 1.0)
+    assert est.p_hat == 1.0 and est.stderr == 0.0
+    assert est.ci95[1] == 1.0 > est.ci95[0]
 
 
 def test_zero_count_quarter():
@@ -49,16 +52,58 @@ def test_zero_count_scan_semantics():
     ])
     want = np.array([2, 1, 1, 2, 0])
     assert np.array_equal(_zero_count_rows(vals), want)
-    if HAVE_NUMBA:
-        state = numba_enabled()
-        try:
-            set_numba_enabled(True)
-            a = _zero_count_rows(vals)
-            set_numba_enabled(False)
-            b = _zero_count_rows(vals)
-        finally:
-            set_numba_enabled(state)
-        assert np.array_equal(a, b)
+
+
+def _zero_count_loop(row):
+    """Reference scan: an exact zero counts once and resets the sign state."""
+    count = 0
+    last = 0
+    for v in row:
+        if v == 0.0:
+            count += 1
+            last = 0
+        elif v > 0.0:
+            if last < 0:
+                count += 1
+            last = 1
+        else:
+            if last > 0:
+                count += 1
+            last = -1
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([-2.0, -1e-300, 0.0, 0.0, 5e-324, 3.0]),
+             min_size=width, max_size=width),
+    min_size=1, max_size=6)))
+def test_zero_count_matches_loop_reference(rows):
+    vals = np.array(rows)
+    want = [_zero_count_loop(row) for row in vals]
+    assert _zero_count_rows(vals).tolist() == want
+
+
+def test_zero_count_on_disjoint_bump_paths():
+    # gaps between the 25 bumps are exact zeros on the grid
+    field = cx.build_X_n(cx.config(5))
+    b = unit_interval(2048)
+    vals = apply_design(sample_batch_coeffs(field, 0, np.arange(64)),
+                        box_design(field, b, (0,)))
+    want = [_zero_count_loop(row) for row in vals]
+    assert _zero_count_rows(vals).tolist() == want
+
+
+def test_clopper_pearson_interval_at_the_edges():
+    # counterexample --n 20 --samples 20000: no hits, exact probability 1.23e-9
+    lo, hi = _indicator_estimate(0, 20000, 0).ci95
+    assert lo == 0.0 and abs(hi - 1.844e-4) < 1e-6
+    assert lo <= cx.exact_small_norm_prob(20) <= hi
+    one = _indicator_estimate(1, 20000, 0)
+    assert one.ci95[0] > 0.0 and one.ci95[0] < one.p_hat < one.ci95[1]
+    mid = _indicator_estimate(5000, 20000, 0)
+    assert mid.ci95[0] < 0.25 < mid.ci95[1]
+    assert abs(mid.ci95[1] - mid.ci95[0] - 2 * 1.96 * mid.stderr) < 1e-4
 
 
 def test_positive_on_box():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflab import DomainError, RandomStream, normal_cdf, normal_quantile
-from grflab._accel import HAVE_NUMBA, numba_enabled, set_numba_enabled
 from grflab.rng import normal_matrix, uniform_matrix
 
 from conftest import bisect_normal_quantile
@@ -91,18 +90,3 @@ def test_normal_moments():
     assert abs(z.mean()) < 5.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
 
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_paths_agree():
-    state = numba_enabled()
-    try:
-        set_numba_enabled(True)
-        u1 = uniform_matrix(3, np.arange(20), 64)
-        z1 = normal_matrix(3, np.arange(20), 64)
-        set_numba_enabled(False)
-        u2 = uniform_matrix(3, np.arange(20), 64)
-        z2 = normal_matrix(3, np.arange(20), 64)
-    finally:
-        set_numba_enabled(state)
-    assert np.array_equal(u1, u2)  # integer pipeline: bit identical
-    assert np.max(np.abs(z1 - z2)) < 1e-12  # erfc providers may differ by ulps
