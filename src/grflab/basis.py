@@ -149,10 +149,6 @@ class BasisFunction:
         out = self._eval_partial(pts, a)
         return out[0] if single else out
 
-    def support_box(self):
-        """(lower, upper) tuple bounding the support, or None if unbounded."""
-        return None
-
     # subclass hooks, batch shapes only
     def _eval(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -304,6 +300,36 @@ def _poly_eval(poly: tuple, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def bump_partial(pts: np.ndarray, centers, radii, alpha: MultiIndex) -> np.ndarray:
+    """d^alpha of the unit-peak bump ``exp(1 - 1/(1 - |z|^2))``, ``z = (p - c)/rho``.
+
+    Row ``e`` of the (E, m) points is evaluated for the bump with centre
+    ``centers[e]`` and radius ``radii[e]``; one (m,) centre and a scalar
+    radius broadcast over every row.  Zero outside the open ball.
+    """
+    d = mi_order(alpha)
+    if d > BUMP_MAX_DERIV_ORDER:
+        raise OrderUnsupportedError(
+            f"bump derivatives implemented up to total order "
+            f"{BUMP_MAX_DERIV_ORDER}, requested {d}")
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), pts.shape[:1])
+    z = (pts - centers) / radii[:, None]
+    s = np.sum(z * z, axis=1)
+    vals = np.zeros(pts.shape[0])
+    inside = s < 1.0
+    if inside.any():
+        one_minus = 1.0 - s[inside]
+        vals[inside] = np.exp(1.0 - 1.0 / one_minus)
+        if d:
+            # float_power is libm pow, the same rounding as ``radius ** d``
+            # on a Python float; ``**`` on an array is not
+            poly = _bump_prefactor_poly(pts.shape[1], tuple(alpha))
+            vals[inside] = (_poly_eval(poly, z[inside]) * vals[inside]
+                            / one_minus ** (2 * d)
+                            / np.float_power(radii[inside], d))
+    return vals
+
+
 @dataclass(frozen=True)
 class Bump(BasisFunction):
     """Radial bump supported on the open ball of ``radius`` around ``center``.
@@ -328,43 +354,12 @@ class Bump(BasisFunction):
     def k(self) -> int:
         return len(self.amplitude)
 
-    def support_box(self):
-        lo = tuple(c - self.radius for c in self.center)
-        up = tuple(c + self.radius for c in self.center)
-        return lo, up
-
-    def _z_s(self, pts):
-        z = (pts - np.asarray(self.center, dtype=np.float64)) / self.radius
-        return z, np.sum(z * z, axis=1)
-
     def _eval(self, pts):
-        z, s = self._z_s(pts)
-        vals = np.zeros(pts.shape[0])
-        inside = s < 1.0
-        if inside.any():
-            vals[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        return np.outer(vals, np.asarray(self.amplitude, dtype=np.float64))
+        return self._eval_partial(pts, (0,) * self.m)
 
     def _eval_partial(self, pts, alpha):
-        d = mi_order(alpha)
-        if d == 0:
-            return self._eval(pts)
-        if d > BUMP_MAX_DERIV_ORDER:
-            raise OrderUnsupportedError(
-                f"bump derivatives implemented up to total order "
-                f"{BUMP_MAX_DERIV_ORDER}, requested {d}")
-        z, s = self._z_s(pts)
-        vals = np.zeros(pts.shape[0])
-        inside = s < 1.0
-        if inside.any():
-            zi = z[inside]
-            si = s[inside]
-            one_minus = 1.0 - si
-            poly = _bump_prefactor_poly(self.m, tuple(alpha))
-            vals[inside] = (_poly_eval(poly, zi)
-                            * np.exp(1.0 - 1.0 / one_minus)
-                            / one_minus ** (2 * d)
-                            / self.radius ** d)
+        vals = bump_partial(pts, np.asarray(self.center, dtype=np.float64),
+                            self.radius, alpha)
         return np.outer(vals, np.asarray(self.amplitude, dtype=np.float64))
 
 
@@ -382,9 +377,6 @@ class Scaled(BasisFunction):
     @property
     def k(self) -> int:
         return self.inner.k
-
-    def support_box(self):
-        return self.inner.support_box()
 
     def _eval(self, pts):
         return self.factor * self.inner._eval(pts)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisFunction, Box, grid_points
+from .basis import BasisFunction, Box, Bump, Scaled, bump_partial, grid_points
 from .linalg import solve_psd_pinv
 from .multiindex import MultiIndex, multi_indices, validate as mi_validate
 from .rng import RandomStream, normal_matrix
@@ -145,30 +145,36 @@ def jet_design(field: KLField, pts: np.ndarray, r: int) -> np.ndarray:
     return np.stack(per_alpha, axis=-1).reshape(field.size, n_pts, field.k * len(alphas))
 
 
+def _unscaled(f: BasisFunction) -> tuple[BasisFunction, tuple]:
+    """The function under any ``Scaled`` wrappers and their factors, innermost first."""
+    factors = ()
+    while isinstance(f, Scaled):
+        factors = (f.factor,) + factors
+        f = f.inner
+    return f, factors
+
+
 def _windowed_sparse_design(field: KLField, b: Box, alpha: MultiIndex):
-    # m == 1, k == 1, every basis function compactly supported: evaluate each
-    # row only on the grid points inside its support window
+    # m == 1, k == 1, every row a (scaled) bump: evaluate each row only on
+    # the grid points inside its support window, all rows in one call
+    alpha = mi_validate(alpha, 1)
     axis = b.axis_points(0)
-    n_pts = axis.shape[0]
-    data, rows, cols = [], [], []
-    pts = axis.reshape(-1, 1)
-    for row, f in enumerate(field.basis):
-        lo, up = f.support_box()
-        i0 = int(np.searchsorted(axis, lo[0], side="left"))
-        i1 = int(np.searchsorted(axis, up[0], side="right"))
-        if i0 >= i1:
-            continue
-        vals = f.eval_partial(pts[i0:i1], alpha)[:, 0]
-        nz = np.nonzero(vals)[0]
-        if nz.size:
-            data.append(vals[nz])
-            rows.append(np.full(nz.size, row, dtype=np.int64))
-            cols.append(i0 + nz)
-    if data:
-        data = np.concatenate(data)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-    return sp.csr_matrix((data, (rows, cols)), shape=(field.size, n_pts))
+    bumps, factors = zip(*map(_unscaled, field.basis))
+    centers = np.array([f.center[0] for f in bumps], dtype=np.float64)
+    radii = np.array([f.radius for f in bumps], dtype=np.float64)
+    i0 = np.searchsorted(axis, centers - radii, side="left")
+    counts = np.searchsorted(axis, centers + radii, side="right") - i0
+    rows = np.repeat(np.arange(field.size), counts)
+    starts = np.cumsum(counts) - counts
+    cols = np.arange(rows.size) - np.repeat(starts - i0, counts)
+    vals = bump_partial(axis[cols, None], centers[rows, None], radii[rows], alpha)
+    # amplitude, then wrapper factors innermost first, one product at a time
+    # as Bump and Scaled evaluate them; padding with 1.0 is exact
+    chains = [(f.amplitude[0], *fac) for f, fac in zip(bumps, factors)]
+    for level in range(max(map(len, chains))):
+        vals *= np.array([c[level] if level < len(c) else 1.0 for c in chains])[rows]
+    nz = vals != 0.0
+    return sp.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=(field.size, axis.shape[0]))
 
 
 @lru_cache(maxsize=64)
@@ -182,7 +188,7 @@ def box_design(field: KLField, b: Box, alpha: MultiIndex):
     n_entries = field.size * b.n_grid_points * field.k
     if n_entries > _DENSE_DESIGN_LIMIT:
         if field.m == 1 and field.k == 1 and all(
-                f.support_box() is not None for f in field.basis):
+                isinstance(_unscaled(f)[0], Bump) for f in field.basis):
             design = _windowed_sparse_design(field, b, alpha)
             for arr in (design.data, design.indices, design.indptr):
                 arr.setflags(write=False)

@@ -43,9 +43,12 @@ class SupNormBelow:
 class ZeroCountEquals:
     """The path (m = k = 1) has exactly ``count`` zeros along the grid.
 
-    Zeros are counted as strict sign changes between adjacent grid values;
-    a value that is exactly zero counts as one zero and resets the scan, so
-    a crossing through it is not double counted.  Exact grid zeros form a
+    Zeros are counted as strict sign changes between adjacent grid values,
+    plus one zero for every grid point whose value is exactly zero; such a
+    point resets the scan, so a crossing through it is not double counted.
+    A run of exact zeros therefore counts once per point: a field with flat
+    zero gaps, such as the disjoint bumps of :mod:`grflab.counterexample`,
+    counts every grid point of every gap.  Exact grid zeros form a
     measure-zero event for nondegenerate fields.
     """
 
@@ -85,10 +88,15 @@ def _check_event(event: EventSpec, field: KLField) -> None:
 
 
 def _zero_count_rows(vals: np.ndarray) -> np.ndarray:
-    """Zeros per row: exact zeros plus strict sign changes between neighbours."""
-    sign = np.sign(vals)
-    return (np.count_nonzero(sign == 0.0, axis=1)
-            + np.count_nonzero(sign[:, :-1] * sign[:, 1:] < 0.0, axis=1))
+    """Zeros per row: exact zeros plus strict sign changes between neighbours.
+
+    A value that is neither zero nor positive (nan included) is negative.
+    """
+    neg = ~(vals >= 0.0)
+    pos = vals > 0.0
+    return (np.count_nonzero(vals == 0.0, axis=1)
+            + np.count_nonzero((neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:]),
+                               axis=1))
 
 
 def _indicator_batch(event: EventSpec, field: KLField, coeffs: np.ndarray) -> np.ndarray:

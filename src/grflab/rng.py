@@ -14,12 +14,12 @@ the xorshift-multiply finalizer with constants ``0xBF58476D1CE4E5B9`` and
 
     u = ((word >> 11) + 0.5) * 2**-53        # in (0, 1), both ends excluded
 
-Normals are produced by the inverse normal CDF applied to these uniforms
-(never by rejection or polar methods), so the n-th normal of a stream is a
-fixed function of (seed, index, n) and the draw count per sample never
-varies.  The quantile uses the Acklam rational initializer refined by two
-Newton steps against the CDF, evaluated through the complemented error
-function in whichever tail is numerically safe.
+Normals are ``scipy.special.ndtri`` (the inverse normal CDF) of these
+uniforms, with no Acklam initializer or Newton step on top, and never come
+from rejection or polar methods, so the n-th normal of a stream is a fixed
+function of (seed, index, n) and the draw count per sample never varies.
+Scalar and array quantiles go through the same ``ndtri`` and agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec
+from scipy.special import erfc as _erfc_vec, ndtri
 
 from .exceptions import DomainError
 
@@ -38,19 +38,6 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam rational approximation of the normal quantile (|error| < 1.2e-9),
-# standard published coefficients; used only as the Newton starting point.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
 
 
 def _mix64_int(z: int) -> int:
@@ -106,86 +93,24 @@ def normal_cdf(x):
     return 0.5 * math.erfc(-float(x) * _INV_SQRT2)
 
 
-def _acklam_numpy(u: np.ndarray) -> np.ndarray:
-    x = np.empty_like(u)
-    lo = u < _P_LOW
-    hi = u > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(u[lo]))
-        x[lo] = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-                ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - u[hi]))
-        x[hi] = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-                ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if mid.any():
-        q = u[mid] - 0.5
-        r = q * q
-        x[mid] = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-                 (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    return x
-
-
-def _quantile_refine_numpy(u: np.ndarray) -> np.ndarray:
-    x = _acklam_numpy(u)
-    lo = u < 0.5
-    sign = np.where(lo, -1.0, 1.0)
-    q = np.where(lo, u, 1.0 - u)  # exact subtraction for u >= 0.5
-    for _ in range(2):
-        # tail probability beyond x on the side of interest
-        tail = 0.5 * _erfc_vec(sign * x * _INV_SQRT2)
-        phi = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        x = x + sign * (tail - q) / phi
-    return x
-
-
-def _acklam_scalar(u: float) -> float:
-    if u < _P_LOW or u > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(u if u < _P_LOW else 1.0 - u))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-        return x if u < _P_LOW else -x
-    q = u - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
-def _quantile_scalar(u: float) -> float:
-    x = _acklam_scalar(u)
-    if u < 0.5:
-        sign = -1.0
-        q = u
-    else:
-        sign = 1.0
-        q = 1.0 - u
-    for _ in range(2):
-        # literal constants: 1/sqrt(2) here is one ulp above _INV_SQRT2
-        tail = 0.5 * math.erfc(sign * x * 0.7071067811865476)
-        phi = math.exp(-0.5 * x * x) * 0.3989422804014327
-        x = x + sign * (tail - q) / phi
-    return x
-
-
 def normal_quantile(u):
-    """Inverse standard normal CDF, accurate to better than 1e-10.
+    """Inverse standard normal CDF (``scipy.special.ndtri``).
 
     Raises :class:`DomainError` unless all arguments lie strictly in (0, 1).
     """
     if isinstance(u, np.ndarray):
         if u.size and (not np.all(u > 0.0) or not np.all(u < 1.0)):
             raise DomainError("quantile argument must lie strictly in (0, 1)")
-        return _quantile_refine_numpy(u.astype(np.float64))
+        return ndtri(u.astype(np.float64))
     uf = float(u)
     if not 0.0 < uf < 1.0:
         raise DomainError("quantile argument must lie strictly in (0, 1)")
-    return _quantile_scalar(uf)
+    return float(ndtri(uf))
 
 
 def normal_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
     """Standard normal draws: row s holds draws of stream indices[s]."""
-    return _quantile_refine_numpy(uniform_matrix(seed, indices, n, offset))
+    return ndtri(uniform_matrix(seed, indices, n, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +136,7 @@ class RandomStream:
         return out
 
     def normals(self, n: int) -> np.ndarray:
-        return _quantile_refine_numpy(self.uniforms(n))
+        return ndtri(self.uniforms(n))
 
     def derive(self, index: int) -> "RandomStream":
         """Fresh stream with the same seed and a new index (counter 0)."""

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from grflab import (Bump, Harmonic, IllConditionedError, Monomial, RandomStream,
-                    SamplePath, cm_inner, eval_kernel, eval_sample,
+import scipy.sparse as sp
+
+from grflab import (Bump, Harmonic, IllConditionedError, Monomial, OrderUnsupportedError,
+                    RandomStream, SamplePath, Scaled, cm_inner, eval_kernel, eval_sample,
                     grid_points, kernel_of, kl_field, projection_residual,
                     sample, sample_seminorm, support_basis, unit_interval)
-from grflab.field import box_design, design_at_points, jet_design, sample_batch_coeffs
+from grflab import counterexample as cx
+from grflab.field import (_windowed_sparse_design, box_design, design_at_points,
+                          jet_design, sample_batch_coeffs)
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -217,3 +221,38 @@ def test_jet_design_layout(rng_np):
         for g, p in enumerate(pts):
             for ai, a in enumerate(alphas):
                 assert np.array_equal(J[n, g, [ai, len(alphas) + ai]], bf.eval_partial(p, a))
+
+
+def test_windowed_design_matches_dense_bit_for_bit():
+    h = 1.0 / 64
+    basis = [
+        Bump((0.3,), 0.1, (1.0,)),
+        Bump((0.35,), 0.2, (-0.7,)),                           # overlaps the first
+        Scaled(Bump((0.6,), 0.05, (1.3,)), 0.37),
+        Scaled(Scaled(Bump((0.81,), 0.13, (0.9,)), -1.7), 0.6),
+        Bump((0.5,), 0.4 * h, (2.0,)),                         # one grid point
+        Scaled(Bump((0.0,), 0.7 * h, (1.0,)), 3.0),            # one point, at the edge
+        Bump((0.5 + 0.5 * h,), 0.25 * h, (1.0,)),              # between two points
+        Bump((1.5,), 0.2, (1.0,)),                             # outside the box
+        Bump((-0.05,), 0.1, (0.4,)),                           # half outside
+    ]
+    field = kl_field(basis, [0.5 + 0.1 * i for i in range(len(basis))])
+    b = unit_interval(64)
+    for a in range(5):
+        sparse = _windowed_sparse_design(field, b, (a,))
+        dense = design_at_points(field, grid_points(b), (a,))
+        assert sp.issparse(sparse)
+        assert np.array_equal(sparse.toarray(), dense)
+        assert np.all(sparse.data != 0.0)
+    assert _windowed_sparse_design(field, b, (0,))[4].nnz == 1
+    assert _windowed_sparse_design(field, b, (0,))[6].nnz == 0
+    with pytest.raises(OrderUnsupportedError):
+        _windowed_sparse_design(field, b, (5,))
+
+
+def test_counterexample_design_is_windowed():
+    cfg = cx.config(100)
+    design = box_design(cx.build_X_n(cfg), cx.grid_box(cfg), (0,))
+    assert sp.issparse(design) and design.nnz == 10_000
+    for arr in (design.data, design.indices, design.indptr):
+        assert not arr.flags.writeable

@@ -75,7 +75,8 @@ def _zero_count_loop(row):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda width: st.lists(
-    st.lists(st.sampled_from([-2.0, -1e-300, 0.0, 0.0, 5e-324, 3.0]),
+    st.lists(st.sampled_from([-2.0, -1e-300, 0.0, 0.0, -0.0, 5e-324, 3.0,
+                              math.nan, math.inf, -math.inf]),
              min_size=width, max_size=width),
     min_size=1, max_size=6)))
 def test_zero_count_matches_loop_reference(rows):

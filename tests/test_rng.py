@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from grflab import DomainError, RandomStream, normal_cdf, normal_quantile
 from grflab.rng import normal_matrix, uniform_matrix
@@ -70,6 +71,21 @@ def test_normal_quantile_domain_error():
             normal_quantile(bad)
     with pytest.raises(DomainError):
         normal_quantile(np.array([0.5, 1.0]))
+
+
+def test_scalar_and_array_quantiles_are_bit_equal():
+    u = uniform_matrix(11, [0], 20000)[0]
+    u = np.concatenate([u, [1e-300, 5e-324, 1e-12, 0.5, 1.0 - 2.0 ** -53]])
+    scalar = np.array([normal_quantile(float(x)) for x in u])
+    assert np.array_equal(scalar, normal_quantile(u))
+
+
+def test_normals_are_ndtri_of_the_uniforms():
+    idx = np.arange(3, 40)
+    assert np.array_equal(normal_matrix(77, idx, 129, offset=5),
+                          ndtri(uniform_matrix(77, idx, 129, offset=5)))
+    s = RandomStream(77, 9, counter=5)
+    assert np.array_equal(s.normals(64), ndtri(RandomStream(77, 9, counter=5).uniforms(64)))
 
 
 def test_quantile_cdf_round_trip():
