@@ -236,7 +236,8 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
         return best
     for a in multi_indices(field.m, r):
         vals = apply_design(coeffs, box_design(field, b, a))
-        np.maximum(best, np.max(np.abs(vals), axis=1), out=best)
+        # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
+        np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
     return best
 
 

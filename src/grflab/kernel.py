@@ -11,7 +11,11 @@ hand-derived derivative formulas.
 Seminorms are sup-norms of mixed partials up to the requested order,
 approximated on the box grid.  Grid values are exact, so the result is a
 lower bound of the true sup that is sharp whenever the extrema lie on grid
-points (the validation suites only use kernels where they do).
+points (the validation suites only use kernels where they do).  A kernel's
+own seminorm is the largest diagonal entry d_alpha d_alpha K(x, x): by
+Cauchy-Schwarz no pair (x, y) exceeds it, so this is the exact grid sup over
+all pairs.  A distance between two kernels is the seminorm of a difference,
+which is not positive semidefinite, so distances stay pair scans.
 """
 
 from __future__ import annotations
@@ -201,61 +205,48 @@ def _scaled_designs(field: KLField, b: Box, alphas):
     return out
 
 
-def _pair_max_abs(sa, sb) -> float:
-    """max |entry| of sa.T @ sb for scaled designs (sparse or dense)."""
-    if sp.issparse(sa):
-        m = (sa.T @ sb).tocoo()
-        return float(np.max(np.abs(m.data))) if m.nnz else 0.0
-    side = sa.shape[1]
-    chunk = max(1, _BLOCK_ENTRIES // max(1, sb.shape[1]))
-    best = 0.0
-    for start in range(0, side, chunk):
-        rows = sa[:, start:start + chunk].T @ sb
-        if rows.size:
-            best = max(best, float(np.max(np.abs(rows))))
-    return best
-
-
 def kernel_seminorm(K: CovarianceKernel, spec: KernelSeminormSpec) -> float:
-    """Grid sup of |d_(alpha,beta) K| over all |alpha|, |beta| <= order."""
+    """Grid sup of |d_(alpha,beta) K| over all |alpha|, |beta| <= order.
+
+    d_alpha d_beta K(x, y) = E[d^alpha X(x) d^beta X(y)], so by Cauchy-Schwarz
+    no entry exceeds the larger of the variances d_alpha d_alpha K(x, x) and
+    d_beta d_beta K(y, y): the sup over all grid pairs is the largest
+    diagonal entry, which is read off without forming any pair block.
+    """
     if spec.box.m != K.m:
         raise ValueError("box dimension does not match the kernel")
     alphas = multi_indices(K.m, spec.order)
     if isinstance(K, KLKernel):
         if K.field.size == 0:
             return 0.0
-        scaled = _scaled_designs(K.field, spec.box, alphas)
-        best = 0.0
-        for a, b in combinations_with_replacement(alphas, 2):
-            best = max(best, _pair_max_abs(scaled[a], scaled[b]))
-        return best
-    pts = grid_points(spec.box)
-    chunk = max(1, _BLOCK_ENTRIES // pts.shape[0])
-    best = 0.0
-    for a, b in combinations_with_replacement(alphas, 2):
-        for start in range(0, pts.shape[0], chunk):
-            block = _closed_form_block(K, pts[start:start + chunk], pts, a, b)
-            best = max(best, float(np.max(np.abs(block))))
-    return best
+        # squares of sigma-scaled rows, as the Gram entries form them
+        diags = [np.asarray(s.multiply(s).sum(axis=0)) if sp.issparse(s)
+                 else np.einsum("ng,ng->g", s, s)
+                 for s in _scaled_designs(K.field, spec.box, alphas).values()]
+    else:
+        pts = grid_points(spec.box)
+        diags = [eval_kernel_deriv_pairs(K, pts, pts, a, a) for a in alphas]
+    return max((float(d.max()) for d in diags if d.size), default=0.0)
 
 
-def _deriv_rows(K: CovarianceKernel, b: Box, alpha, beta, scaled_cache,
-                start: int, stop: int) -> np.ndarray:
-    """Dense rows [start:stop) of the (G*k) x (G*k) derivative-value matrix."""
-    if isinstance(K, KLKernel):
-        sa, sb = scaled_cache[alpha], scaled_cache[beta]
-        if sp.issparse(sa):
-            return (sa[:, start:stop].T @ sb).toarray()
-        return sa[:, start:stop].T @ sb
-    pts = grid_points(b)
-    return _closed_form_block(K, pts[start:stop], pts, alpha, beta)
+def _stacked(parts, fmt: str):
+    """The parts stacked vertically; sparse in format ``fmt`` when any part is."""
+    if any(sp.issparse(p) for p in parts):
+        return sp.vstack(parts, format=fmt)
+    return np.vstack(parts)
 
 
 def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
                     spec: KernelSeminormSpec) -> float:
-    """Seminorm of the pointwise difference of two kernels."""
+    """Seminorm of the pointwise difference of two kernels.
+
+    A difference of kernels is not positive semidefinite, so unlike
+    :func:`kernel_seminorm` this scans every point pair, in row blocks.
+    """
     if K1.k != K2.k or K1.m != K2.m:
         raise ValueError("kernels must share (m, k)")
+    if spec.box.m != K1.m:
+        raise ValueError("box dimension does not match the kernel")
     if K1 == K2:
         return 0.0
     if isinstance(K1, KLKernel) and K1.field.size == 0:
@@ -263,27 +254,28 @@ def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
     if isinstance(K2, KLKernel) and K2.field.size == 0:
         return kernel_seminorm(K1, spec)
     alphas = multi_indices(K1.m, spec.order)
-    caches = []
-    for K in (K1, K2):
-        caches.append(_scaled_designs(K.field, spec.box, alphas)
-                      if isinstance(K, KLKernel) else None)
-    both_sparse = all(c is not None and sp.issparse(next(iter(c.values())))
-                      for c in caches)
+    pts = grid_points(spec.box)
+    signed = ((1.0, K1), (-1.0, K2))
+    kl = [(c, _scaled_designs(K.field, spec.box, alphas)) for c, K in signed
+          if isinstance(K, KLKernel)]
+    closed = [(c, K) for c, K in signed if isinstance(K, ClosedFormKernel)]
+    # the KL part is one product per block:
+    # [s1_a; s2_a]^T [s1_b; -s2_b] = s1_a^T s1_b - s2_a^T s2_b; a sparse left
+    # side is kept transposed as CSR, so its row blocks slice cheaply
+    left = {a: _stacked([d[a] for _, d in kl], "csc").T for a in alphas} if kl else {}
+    right = {a: _stacked([c * d[a] for c, d in kl], "csr") for a in alphas} if kl else {}
     side = spec.box.n_grid_points * K1.k
+    chunk = max(1, _BLOCK_ENTRIES // side)
     best = 0.0
     for a, b in combinations_with_replacement(alphas, 2):
-        if both_sparse:
-            m = (caches[0][a].T @ caches[0][b] - caches[1][a].T @ caches[1][b]).tocoo()
-            if m.nnz:
-                best = max(best, float(np.max(np.abs(m.data))))
-            continue
-        chunk = max(1, _BLOCK_ENTRIES // side)
         for start in range(0, side, chunk):
-            stop = min(side, start + chunk)
-            rows = (_deriv_rows(K1, spec.box, a, b, caches[0], start, stop)
-                    - _deriv_rows(K2, spec.box, a, b, caches[1], start, stop))
-            if rows.size:
-                best = max(best, float(np.max(np.abs(rows))))
+            block = left[a][start:start + chunk] @ right[b] if kl else 0.0
+            for c, K in closed:
+                block = block + c * _closed_form_block(K, pts[start:start + chunk], pts, a, b)
+            # max |entry| without an abs temporary; a sparse block's max and
+            # min count its implicit zeros
+            if block.size:
+                best = max(best, float(block.max()), -float(block.min()))
     return best
 
 

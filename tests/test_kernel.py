@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from grflab import (Bump, ClosedFormKernel, Harmonic, KernelSeminormSpec,
                     Monomial, Scaled, box, check_psd, check_symmetry,
                     eval_kernel, eval_kernel_deriv, kernel_distance, kernel_of,
                     kernel_seminorm, kl_field, unit_interval)
+from grflab import counterexample as cx
+from grflab.basis import grid_points
+from grflab.field import box_design
+from grflab.kernel import eval_kernel_deriv_pairs
+from grflab.multiindex import multi_indices
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -169,3 +176,169 @@ def test_seminorm_matches_brute_force_on_coarse_grid():
                     v = eval_kernel_deriv(kernel_of(f), [x], [y], a, bb)[0, 0]
                     worst = max(worst, abs(v))
     assert abs(got - worst) < 1e-12
+
+
+def test_kernel_distance_checks_the_box_dimension():
+    spec = KernelSeminormSpec(box([0.0, 0.0], [1.0, 1.0], 4), 1)
+    for K1, K2 in ((ClosedFormKernel("exp_dot", 1), ClosedFormKernel("dot", 1)),
+                   (st_kernel(), affine_kernel()), (st_kernel(), st_kernel())):
+        with pytest.raises(ValueError, match="box dimension does not match the kernel"):
+            kernel_distance(K1, K2, spec)
+
+
+# -- diagonal seminorm and stacked distance against pair references ----------
+
+def _basis_function(draw, m, k):
+    amp = tuple(draw(st.floats(-1.5, 1.5)) for _ in range(k))
+    kind = draw(st.sampled_from(["harmonic", "monomial", "bump"]))
+    if kind == "harmonic":
+        return Harmonic(tuple(draw(st.floats(-4.0, 4.0)) for _ in range(m)),
+                        draw(st.floats(0.0, 6.3)), amp)
+    if kind == "monomial":
+        return Monomial(tuple(draw(st.integers(0, 2)) for _ in range(m)), amp)
+    return Bump(tuple(draw(st.floats(-1.0, 1.0)) for _ in range(m)),
+                draw(st.floats(0.3, 1.2)), amp)
+
+
+def _random_field(draw, m, k):
+    n = draw(st.integers(1, 5))
+    basis = [_basis_function(draw, m, k) for _ in range(n)]
+    return kl_field(basis, [draw(st.floats(0.3, 1.5)) for _ in range(n)], m=m, k=k)
+
+
+def _grid_box(draw, m):
+    """A box with negative coordinates and at most 9 or 16 grid points."""
+    res = draw(st.integers(1, 8 if m == 1 else 3))
+    return box([-1.0] * m, [0.5] * m, res)
+
+
+@st.composite
+def seminorm_cases(draw):
+    m = draw(st.integers(1, 2))
+    r = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        K = ClosedFormKernel(draw(st.sampled_from(["dot", "affine_dot", "exp_dot"])), m)
+    else:
+        K = kernel_of(_random_field(draw, m, draw(st.integers(1, 2))))
+    return K, _grid_box(draw, m), r
+
+
+@st.composite
+def distance_cases(draw):
+    m = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 2))
+    K1 = kernel_of(_random_field(draw, m, k))
+    K2 = kernel_of(_random_field(draw, m, k))
+    return K1, K2, _grid_box(draw, m), draw(st.integers(0, 2))
+
+
+@st.composite
+def closed_form_distance_cases(draw):
+    """A closed-form kernel against another one or a scalar field's kernel."""
+    m = draw(st.integers(1, 2))
+    tags = ["dot", "affine_dot", "exp_dot"]
+    K1 = ClosedFormKernel(draw(st.sampled_from(tags)), m)
+    if draw(st.booleans()):
+        K2 = ClosedFormKernel(draw(st.sampled_from(tags)), m)
+    else:
+        K2 = kernel_of(_random_field(draw, m, 1))
+    if draw(st.booleans()):
+        K1, K2 = K2, K1
+    return K1, K2, _grid_box(draw, m), draw(st.integers(0, 2))
+
+
+def _brute_pair_max(K, b, r, minus=None):
+    """max |d_alpha d_beta (K - minus)(x, y)| over every grid pair (x, y) and
+    every (alpha, beta), one pointwise evaluation per pair."""
+    pts = grid_points(b)
+    X = np.repeat(pts, pts.shape[0], axis=0)
+    Y = np.tile(pts, (pts.shape[0], 1))
+    alphas = multi_indices(K.m, r)
+    best = 0.0
+    for a in alphas:
+        for bb in alphas:
+            vals = eval_kernel_deriv_pairs(K, X, Y, a, bb)
+            if minus is not None:
+                vals = vals - eval_kernel_deriv_pairs(minus, X, Y, a, bb)
+            best = max(best, float(np.max(np.abs(vals))))
+    return best
+
+
+def _scaled(K, b, a):
+    d = box_design(K.field, b, a)
+    if sp.issparse(d):
+        return sp.diags(K.field.sigma_array) @ d
+    return K.field.sigma_array[:, None] * d
+
+
+def _two_product_distance(K1, K2, b, r):
+    """Distance as the difference of the two kernels' Gram products."""
+    alphas = multi_indices(K1.m, r)
+    best = 0.0
+    for a in alphas:
+        for bb in alphas:
+            diff = (_scaled(K1, b, a).T @ _scaled(K1, b, bb)
+                    - _scaled(K2, b, a).T @ _scaled(K2, b, bb))
+            best = max(best, float(abs(diff).max()))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(seminorm_cases())
+def test_seminorm_is_the_pair_max(case):
+    K, b, r = case
+    got = kernel_seminorm(K, KernelSeminormSpec(b, r))
+    ref = _brute_pair_max(K, b, r)
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(distance_cases())
+def test_distance_matches_two_product_reference(case):
+    """Relative to the kernels' own size: a small distance between two large
+    kernels carries the rounding of the large Gram entries."""
+    K1, K2, b, r = case
+    spec = KernelSeminormSpec(b, r)
+    got = kernel_distance(K1, K2, spec)
+    ref = _two_product_distance(K1, K2, b, r)
+    scale = max(ref, kernel_seminorm(K1, spec), kernel_seminorm(K2, spec))
+    assert abs(got - ref) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_form_distance_cases())
+def test_closed_form_distance_is_the_pair_max(case):
+    K1, K2, b, r = case
+    spec = KernelSeminormSpec(b, r)
+    got = kernel_distance(K1, K2, spec)
+    ref = _brute_pair_max(K1, b, r, minus=K2)
+    scale = max(ref, kernel_seminorm(K1, spec), kernel_seminorm(K2, spec))
+    assert abs(got - ref) <= 1e-12 * scale
+
+
+def test_windowed_sparse_seminorm_and_distance():
+    """Overlapping bumps above the dense limit: the designs are windowed-sparse,
+    and the references take sparse Gram products."""
+    rng = np.random.default_rng(7)
+    b = box(0.0, 1.0, 20000)
+
+    def bumps(n):
+        basis = [Bump((float(c),), float(rad), (float(a),)) for c, rad, a in
+                 zip(rng.uniform(0, 1, n), rng.uniform(5e-4, 2e-3, n), rng.uniform(-1.5, 1.5, n))]
+        return kernel_of(kl_field(basis, rng.uniform(0.3, 1.5, n)))
+
+    K1, K2 = bumps(210), bumps(230)
+    assert sp.issparse(box_design(K1.field, b, (0,)))
+    assert sp.issparse(box_design(K2.field, b, (0,)))
+    for r in (0, 2):
+        spec = KernelSeminormSpec(b, r)
+        scaled = [_scaled(K1, b, a) for a in multi_indices(1, r)]
+        pair_max = max(float(abs(sa.T @ sb).max()) for sa in scaled for sb in scaled)
+        assert abs(kernel_seminorm(K1, spec) - pair_max) <= 1e-12 * pair_max
+        ref = _two_product_distance(K1, K2, b, r)
+        assert abs(kernel_distance(K1, K2, spec) - ref) <= 1e-12 * ref
+
+
+def test_kernel_sup_decay_bits():
+    assert cx.kernel_sup_decay([5, 10, 100]) == [
+        0.6088745603777447, 0.36961150946819515, 0.15071824930113975]
