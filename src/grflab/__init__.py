@@ -27,9 +27,9 @@ from .kernel import (ClosedFormKernel, CovarianceKernel, KLKernel,
 from .mc import (DegenerateZero, EventSpec, GaussianRatio, LimitStudyRow,
                  MCEstimate, PositiveOnBox, SupNormBelow, ZeroCountEquals,
                  empirical_sup_mean, estimate_probability, gaussian_ratio,
-                 limit_study, normal_cdf, normal_quantile)
+                 limit_study)
 from .multiindex import count_multi_indices, graded_lex_key, multi_indices
-from .rng import RandomStream
+from .rng import RandomStream, normal_cdf, normal_quantile
 from .serialize import (basis_from_dict, basis_to_dict, box_from_dict,
                         box_to_dict, event_from_dict, event_to_dict,
                         field_digest, field_from_dict, field_to_dict,

@@ -138,9 +138,7 @@ class BasisFunction:
 
     def eval(self, p) -> np.ndarray:
         """Value at a point (m,) -> (k,), or batch (G, m) -> (G, k)."""
-        pts, single = _as_points(p, self.m)
-        out = self._eval(pts)
-        return out[0] if single else out
+        return self.eval_partial(p, (0,) * self.m)
 
     def eval_partial(self, p, alpha) -> np.ndarray:
         """Exact mixed partial derivative, same shapes as :meth:`eval`."""
@@ -149,10 +147,7 @@ class BasisFunction:
         out = self._eval_partial(pts, a)
         return out[0] if single else out
 
-    # subclass hooks, batch shapes only
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
+    # subclass hook, batch shapes only
     def _eval_partial(self, pts: np.ndarray, alpha: MultiIndex) -> np.ndarray:
         raise NotImplementedError
 
@@ -174,13 +169,6 @@ class Monomial(BasisFunction):
     @property
     def k(self) -> int:
         return len(self.amplitude)
-
-    def _eval(self, pts):
-        mono = np.ones(pts.shape[0])
-        for i, e in enumerate(self.exponents):
-            if e:
-                mono = mono * pts[:, i] ** e
-        return np.outer(mono, np.asarray(self.amplitude, dtype=np.float64))
 
     def _eval_partial(self, pts, alpha):
         coeff = 1.0
@@ -220,10 +208,6 @@ class Harmonic(BasisFunction):
         if shift == 2:
             return -np.cos(theta)
         return np.sin(theta)
-
-    def _eval(self, pts):
-        return np.outer(self._phase_values(pts, 0),
-                        np.asarray(self.amplitude, dtype=np.float64))
 
     def _eval_partial(self, pts, alpha):
         coeff = 1.0
@@ -354,9 +338,6 @@ class Bump(BasisFunction):
     def k(self) -> int:
         return len(self.amplitude)
 
-    def _eval(self, pts):
-        return self._eval_partial(pts, (0,) * self.m)
-
     def _eval_partial(self, pts, alpha):
         vals = bump_partial(pts, np.asarray(self.center, dtype=np.float64),
                             self.radius, alpha)
@@ -377,9 +358,6 @@ class Scaled(BasisFunction):
     @property
     def k(self) -> int:
         return self.inner.k
-
-    def _eval(self, pts):
-        return self.factor * self.inner._eval(pts)
 
     def _eval_partial(self, pts, alpha):
         return self.factor * self.inner._eval_partial(pts, alpha)

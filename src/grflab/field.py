@@ -26,8 +26,9 @@ from .linalg import solve_psd_pinv
 from .multiindex import MultiIndex, multi_indices, validate as mi_validate
 from .rng import RandomStream, normal_matrix
 
-# switch to sparse, support-windowed design matrices above this many entries
-_DENSE_DESIGN_LIMIT = 4_000_000
+# entry budget of one dense block: a dense design above it is refused, and
+# kernel, jet and Monte Carlo products are chunked to stay within it
+_BLOCK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,7 @@ def eval_sample(path: SamplePath, p, alpha=None) -> np.ndarray:
     a = (0,) * field.m if alpha is None else mi_validate(alpha, field.m)
     single = np.asarray(p, dtype=np.float64).ndim <= 1
     pts = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    out = np.zeros((pts.shape[0], field.k))
-    for c, f in zip(path.coeffs, field.basis):
-        out += c * f.eval_partial(pts, a)
+    out = apply_design(path.coeffs[None], design_at_points(field, pts, a)).reshape(-1, field.k)
     return out[0] if single else out
 
 
@@ -179,24 +178,28 @@ def _windowed_sparse_design(field: KLField, b: Box, alpha: MultiIndex):
 
 @lru_cache(maxsize=64)
 def box_design(field: KLField, b: Box, alpha: MultiIndex):
-    """Design matrix on the box grid; sparse when dense would be oversized.
+    """Design matrix on the box grid.
 
+    A field of (scaled) bumps with m = k = 1 gets a windowed-sparse CSR
+    matrix at every grid size.  Every other field gets a dense array, and
+    one of more than ``_BLOCK_ENTRIES`` entries raises :class:`MemoryError`.
     The result is cached and shared, so its arrays are read-only.
     """
     if b.m != field.m:
         raise ValueError("box dimension does not match the field")
-    n_entries = field.size * b.n_grid_points * field.k
-    if n_entries > _DENSE_DESIGN_LIMIT:
-        if field.m == 1 and field.k == 1 and all(
-                isinstance(_unscaled(f)[0], Bump) for f in field.basis):
-            design = _windowed_sparse_design(field, b, alpha)
-            for arr in (design.data, design.indices, design.indptr):
-                arr.setflags(write=False)
-            return design
-        raise MemoryError(
-            f"dense design of {n_entries} entries exceeds the supported size")
-    design = design_at_points(field, grid_points(b), alpha)
-    design.setflags(write=False)
+    if field.size and field.m == 1 and field.k == 1 and all(
+            isinstance(_unscaled(f)[0], Bump) for f in field.basis):
+        design = _windowed_sparse_design(field, b, alpha)
+        arrays = (design.data, design.indices, design.indptr)
+    else:
+        n_entries = field.size * b.n_grid_points * field.k
+        if n_entries > _BLOCK_ENTRIES:
+            raise MemoryError(
+                f"dense design of {n_entries} entries exceeds the supported size")
+        design = design_at_points(field, grid_points(b), alpha)
+        arrays = (design,)
+    for arr in arrays:
+        arr.setflags(write=False)
     return design
 
 
@@ -207,29 +210,12 @@ def apply_design(coeffs: np.ndarray, design) -> np.ndarray:
     return coeffs @ design
 
 
-def path_grid_values(path: SamplePath, b: Box, alpha: MultiIndex) -> np.ndarray:
-    vals = apply_design(path.coeffs.reshape(1, -1), box_design(path.field, b, alpha))
-    return vals[0]
-
-
-def sample_seminorm(path: SamplePath, b: Box, r: int) -> float:
-    """Grid sup of all partials of order <= r, all components.
+def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.ndarray:
+    """Grid sup of all partials of order <= r, all components, per coefficient row.
 
     A lower bound for the true sup over the box, exact when the extrema lie
     on grid points.
     """
-    if path.field.size == 0:
-        return 0.0
-    best = 0.0
-    for a in multi_indices(path.field.m, r):
-        vals = path_grid_values(path, b, a)
-        if vals.size:
-            best = max(best, float(np.max(np.abs(vals))))
-    return best
-
-
-def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.ndarray:
-    """sample_seminorm of every coefficient row, computed batched."""
     n_rows = coeffs.shape[0]
     best = np.zeros(n_rows)
     if field.size == 0:
@@ -239,6 +225,11 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
         # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
         np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
     return best
+
+
+def sample_seminorm(path: SamplePath, b: Box, r: int) -> float:
+    """:func:`batch_seminorms` of one path."""
+    return float(batch_seminorms(path.field, path.coeffs[None], b, r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +264,8 @@ def support_basis(field: KLField, p, j: int) -> SupportBasisFunction:
     if not 0 <= j < field.k:
         raise ValueError(f"component {j} out of range for k={field.k}")
     pt = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    coeffs = np.array([s * s * float(f.eval(pt)[j])
-                       for s, f in zip(field.sigmas, field.basis)])
-    return SupportBasisFunction(field, tuple(pt), j, coeffs)
+    values = design_at_points(field, pt.reshape(1, -1), (0,) * field.m)[:, j]
+    return SupportBasisFunction(field, tuple(pt), j, field.sigma_array ** 2 * values)
 
 
 def cm_inner(field: KLField, pj, ql) -> float:

@@ -26,13 +26,10 @@ from math import comb
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import SamplePath, jet_design
+from .field import _BLOCK_ENTRIES, SamplePath, jet_design
 from .kernel import CovarianceKernel, KLKernel, eval_kernel_deriv_pairs
 from .linalg import eigvalsh
 from .multiindex import multi_indices
-
-# points per batch are capped so the jet design holds at most this many entries
-_BLOCK_ENTRIES = 4_000_000
 
 
 def jet_dimension(m: int, k: int, r: int) -> int:

@@ -29,12 +29,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import Box, grid_points
-from .field import KLField, box_design, design_at_points
+from .field import _BLOCK_ENTRIES, KLField, box_design, design_at_points
 from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
 _CLOSED_FORM_TAGS = ("dot", "affine_dot", "exp_dot")
-_BLOCK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,9 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .basis import Box
-from .field import (KLField, apply_design, batch_seminorms, box_design,
+from .field import (_BLOCK_ENTRIES, KLField, apply_design, batch_seminorms, box_design,
                     sample_batch_coeffs)
 from .kernel import KernelSeminormSpec, kernel_distance, kernel_of, kernel_seminorm
-from .rng import normal_cdf, normal_quantile  # noqa: F401  (re-exported API)
-
-_CHUNK_ENTRIES = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +156,16 @@ def _mean_estimate(values: np.ndarray, seed: int) -> MCEstimate:
     return MCEstimate(mean, se, n, seed, (mean - 1.96 * se, mean + 1.96 * se))
 
 
-def _chunk_size(field: KLField, b: Box) -> int:
+def _coeff_chunks(field: KLField, b: Box, n_samples: int, seed: int):
+    """Coefficient rows of samples 0 .. n_samples-1, one chunk at a time.
+
+    A chunk's coefficients and grid values hold at most ``_BLOCK_ENTRIES``
+    entries.
+    """
     per_sample = max(1, b.n_grid_points * field.k + field.size)
-    return max(1, _CHUNK_ENTRIES // per_sample)
+    chunk = max(1, _BLOCK_ENTRIES // per_sample)
+    for start in range(0, n_samples, chunk):
+        yield sample_batch_coeffs(field, seed, np.arange(start, min(start + chunk, n_samples)))
 
 
 def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 20000,
@@ -174,12 +178,8 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")
     _check_event(event, field)
-    chunk = _chunk_size(field, event.box)
-    count = 0
-    for start in range(0, n_samples, chunk):
-        idx = np.arange(start, min(start + chunk, n_samples))
-        coeffs = sample_batch_coeffs(field, seed, idx)
-        count += int(np.count_nonzero(_indicator_batch(event, field, coeffs)))
+    count = sum(int(np.count_nonzero(_indicator_batch(event, field, coeffs)))
+                for coeffs in _coeff_chunks(field, event.box, n_samples, seed))
     return _indicator_estimate(count, n_samples, seed)
 
 
@@ -188,13 +188,9 @@ def empirical_sup_mean(field: KLField, b: Box, r: int, n_samples: int = 20000,
     """Monte Carlo mean of the order-r grid sup-norm of sample paths."""
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    chunk = _chunk_size(field, b)
-    parts = []
-    for start in range(0, n_samples, chunk):
-        idx = np.arange(start, min(start + chunk, n_samples))
-        coeffs = sample_batch_coeffs(field, seed, idx)
-        parts.append(batch_seminorms(field, coeffs, b, r))
-    return _mean_estimate(np.concatenate(parts), seed)
+    sups = [batch_seminorms(field, coeffs, b, r)
+            for coeffs in _coeff_chunks(field, b, n_samples, seed)]
+    return _mean_estimate(np.concatenate(sups), seed)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,13 @@ def test_scaled_is_exact():
     for d in range(4):
         assert np.array_equal(f.eval_partial(pts, (d,)),
                               -3.0 * inner.eval_partial(pts, (d,)))
+    # eval is the order-0 partial, bit for bit
+    bump = Bump((0.1, -0.2), 0.9, (2.0,))
+    grid = np.stack([np.linspace(-1, 1, 9), np.linspace(0.7, -0.4, 9)], axis=1)
+    for g in (Monomial((2, 3), (1.5, -0.5)), Harmonic((2.5, -1.0), 0.1, (1.0,)), bump,
+              Scaled(Scaled(bump, 0.3), -1.7)):
+        for p in (grid, grid[3]):
+            assert g.eval(p).tobytes() == g.eval_partial(p, (0, 0)).tobytes()
 
 
 def test_fd_check_examples():

@@ -10,8 +10,8 @@ from grflab import (Bump, Harmonic, IllConditionedError, Monomial, OrderUnsuppor
                     grid_points, kernel_of, kl_field, projection_residual,
                     sample, sample_seminorm, support_basis, unit_interval)
 from grflab import counterexample as cx
-from grflab.field import (_windowed_sparse_design, box_design, design_at_points,
-                          jet_design, sample_batch_coeffs)
+from grflab.field import (_windowed_sparse_design, batch_seminorms, box_design,
+                          design_at_points, jet_design, sample_batch_coeffs)
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -185,7 +185,7 @@ def test_cached_arrays_are_read_only():
     dense = box_design(kl_field([ONE, T]), b, (0,))
     with pytest.raises(ValueError):
         dense[0, 0] = 1.0
-    # 50 narrow bumps on a 100001-point grid exceed the dense limit
+    # a bump field's design is windowed-sparse at every grid size
     bumps = kl_field([Bump((0.02 * i + 0.01,), 0.005, (1.0,)) for i in range(50)])
     sparse = box_design(bumps, unit_interval(100_000), (0,))
     assert sparse.nnz > 0
@@ -256,3 +256,22 @@ def test_counterexample_design_is_windowed():
     assert sp.issparse(design) and design.nnz == 10_000
     for arr in (design.data, design.indices, design.indptr):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8, 10])
+def test_small_bump_fields_are_windowed(n):
+    """Bump fields take the windowed-sparse design at every grid size, with
+    the dense design's values and the dense product's seminorms."""
+    cfg = cx.config(n)
+    field, b = cx.build_X_n(cfg), cx.grid_box(cfg)
+    coeffs = sample_batch_coeffs(field, 11, np.arange(64))
+    ref = np.zeros(64)
+    for a in [(0,), (1,)]:
+        design = box_design(field, b, a)
+        assert isinstance(design, sp.csr_matrix)
+        for arr in (design.data, design.indices, design.indptr):
+            assert not arr.flags.writeable
+        dense = design_at_points(field, grid_points(b), a)
+        assert np.array_equal(design.toarray(), dense)
+        ref = np.maximum(ref, np.max(np.abs(coeffs @ dense), axis=1))
+        assert np.array_equal(batch_seminorms(field, coeffs, b, a[0]), ref)

@@ -317,7 +317,7 @@ def test_closed_form_distance_is_the_pair_max(case):
 
 
 def test_windowed_sparse_seminorm_and_distance():
-    """Overlapping bumps above the dense limit: the designs are windowed-sparse,
+    """Overlapping bumps on a 20001-point grid: the designs are windowed-sparse,
     and the references take sparse Gram products."""
     rng = np.random.default_rng(7)
     b = box(0.0, 1.0, 20000)
