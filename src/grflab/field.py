@@ -27,7 +27,7 @@ from .multiindex import MultiIndex, multi_indices, validate as mi_validate
 from .rng import RandomStream, normal_matrix
 
 # entry budget of one dense block: a dense design above it is refused, and
-# kernel, jet and Monte Carlo products are chunked to stay within it
+# point, pair and sample loops are cut by ``_blocks`` to stay within it
 _BLOCK_ENTRIES = 4_000_000
 
 
@@ -109,25 +109,89 @@ def eval_sample(path: SamplePath, p, alpha=None) -> np.ndarray:
     a = (0,) * field.m if alpha is None else mi_validate(alpha, field.m)
     single = np.asarray(p, dtype=np.float64).ndim <= 1
     pts = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    out = apply_design(path.coeffs[None], design_at_points(field, pts, a)).reshape(-1, field.k)
+    out = np.empty((pts.shape[0], field.k))
+    for rows in _blocks(pts.shape[0], field.size * field.k):
+        out[rows] = (path.coeffs[None] @ _design(field, pts[rows], a)).reshape(-1, field.k)
     return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
-# design matrices: basis values on a grid, one row per basis function
+# design matrices: basis values at points, one row per basis function
 # ---------------------------------------------------------------------------
 
-def design_at_points(field: KLField, pts: np.ndarray, alpha: MultiIndex) -> np.ndarray:
-    """Dense (N, G*k) matrix of d^alpha f_n at the given points.
+def _blocks(n: int, per_item: int):
+    """Slices cutting ``range(n)`` into blocks of ``_BLOCK_ENTRIES // per_item`` items.
 
-    Column layout is point-major: column ``g*k + j`` is component ``j`` at
-    point ``g``, matching ``values.reshape(G, k)`` for one path.
+    ``per_item`` is the number of entries one item adds to a block; every
+    block holds at least one item.
     """
-    n_pts = pts.shape[0]
-    out = np.empty((field.size, n_pts * field.k))
+    step = max(1, _BLOCK_ENTRIES // max(1, per_item))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _unscaled(f: BasisFunction) -> tuple[BasisFunction, tuple]:
+    """The function under any ``Scaled`` wrappers and their factors, innermost first."""
+    factors = ()
+    while isinstance(f, Scaled):
+        factors = (f.factor,) + factors
+        f = f.inner
+    return f, factors
+
+
+def _windowed_design(field: KLField, x: np.ndarray, alpha: MultiIndex) -> sp.csr_array:
+    # every row a (scaled) bump on the line: evaluate each row only at the
+    # points inside its support window, all rows in one call.  The windows
+    # are found on the points in sorted order; ``order`` maps them back to
+    # the caller's columns, so unsorted and repeated points are fine
+    order = np.argsort(x, kind="stable")
+    axis = x[order]
+    bumps, factors = zip(*map(_unscaled, field.basis))
+    centers = np.array([f.center[0] for f in bumps], dtype=np.float64)
+    radii = np.array([f.radius for f in bumps], dtype=np.float64)
+    i0 = np.searchsorted(axis, centers - radii, side="left")
+    counts = np.searchsorted(axis, centers + radii, side="right") - i0
+    rows = np.repeat(np.arange(field.size), counts)
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(rows.size) - np.repeat(starts - i0, counts)
+    vals = bump_partial(axis[pos, None], centers[rows, None], radii[rows], alpha)
+    # amplitude, then wrapper factors innermost first, one product at a time
+    # as Bump and Scaled evaluate them; padding with 1.0 is exact
+    chains = [(f.amplitude[0], *fac) for f, fac in zip(bumps, factors)]
+    for level in range(max(map(len, chains))):
+        vals *= np.array([c[level] if level < len(c) else 1.0 for c in chains])[rows]
+    nz = vals != 0.0
+    return sp.csr_array((vals[nz], (rows[nz], order[pos[nz]])),
+                        shape=(field.size, x.shape[0]))
+
+
+def _design(field: KLField, pts: np.ndarray, alpha):
+    """(N, G*k) design of d^alpha f_n at the (G, m) points; the one place it is built.
+
+    A non-empty field of (scaled) bumps with m = k = 1 gets a windowed
+    ``csr_array`` at any points; every other field a dense array, refused
+    with :class:`MemoryError` above ``_BLOCK_ENTRIES`` entries.  Column
+    ``g*k + j`` is component ``j`` at point ``g``.
+    """
+    alpha = mi_validate(alpha, field.m)
+    if pts.ndim != 2 or pts.shape[1] != field.m:
+        raise ValueError(f"points of shape {pts.shape} do not match dimension {field.m}")
+    if field.size and field.m == 1 and field.k == 1 and all(
+            isinstance(_unscaled(f)[0], Bump) for f in field.basis):
+        return _windowed_design(field, pts[:, 0], alpha)
+    n_entries = field.size * pts.shape[0] * field.k
+    if n_entries > _BLOCK_ENTRIES:
+        raise MemoryError(f"dense design of {n_entries} entries exceeds the supported size")
+    out = np.empty((field.size, pts.shape[0] * field.k))
     for row, f in enumerate(field.basis):
         out[row] = f.eval_partial(pts, alpha).ravel()
     return out
+
+
+def design_at_points(field: KLField, pts: np.ndarray, alpha: MultiIndex) -> np.ndarray:
+    """Dense view of :func:`_design`: (N, G*k) values of d^alpha f_n at the points."""
+    design = _design(field, pts, alpha)
+    return design.toarray() if sp.issparse(design) else design
 
 
 def jet_design(field: KLField, pts: np.ndarray, r: int) -> np.ndarray:
@@ -144,69 +208,20 @@ def jet_design(field: KLField, pts: np.ndarray, r: int) -> np.ndarray:
     return np.stack(per_alpha, axis=-1).reshape(field.size, n_pts, field.k * len(alphas))
 
 
-def _unscaled(f: BasisFunction) -> tuple[BasisFunction, tuple]:
-    """The function under any ``Scaled`` wrappers and their factors, innermost first."""
-    factors = ()
-    while isinstance(f, Scaled):
-        factors = (f.factor,) + factors
-        f = f.inner
-    return f, factors
-
-
-def _windowed_sparse_design(field: KLField, b: Box, alpha: MultiIndex):
-    # m == 1, k == 1, every row a (scaled) bump: evaluate each row only on
-    # the grid points inside its support window, all rows in one call
-    alpha = mi_validate(alpha, 1)
-    axis = b.axis_points(0)
-    bumps, factors = zip(*map(_unscaled, field.basis))
-    centers = np.array([f.center[0] for f in bumps], dtype=np.float64)
-    radii = np.array([f.radius for f in bumps], dtype=np.float64)
-    i0 = np.searchsorted(axis, centers - radii, side="left")
-    counts = np.searchsorted(axis, centers + radii, side="right") - i0
-    rows = np.repeat(np.arange(field.size), counts)
-    starts = np.cumsum(counts) - counts
-    cols = np.arange(rows.size) - np.repeat(starts - i0, counts)
-    vals = bump_partial(axis[cols, None], centers[rows, None], radii[rows], alpha)
-    # amplitude, then wrapper factors innermost first, one product at a time
-    # as Bump and Scaled evaluate them; padding with 1.0 is exact
-    chains = [(f.amplitude[0], *fac) for f, fac in zip(bumps, factors)]
-    for level in range(max(map(len, chains))):
-        vals *= np.array([c[level] if level < len(c) else 1.0 for c in chains])[rows]
-    nz = vals != 0.0
-    return sp.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=(field.size, axis.shape[0]))
-
-
 @lru_cache(maxsize=64)
 def box_design(field: KLField, b: Box, alpha: MultiIndex):
-    """Design matrix on the box grid.
+    """:func:`_design` on the grid of ``b``: sparse for bump fields, dense otherwise.
 
-    A field of (scaled) bumps with m = k = 1 gets a windowed-sparse CSR
-    matrix at every grid size.  Every other field gets a dense array, and
-    one of more than ``_BLOCK_ENTRIES`` entries raises :class:`MemoryError`.
     The result is cached and shared, so its arrays are read-only.
     """
-    if b.m != field.m:
-        raise ValueError("box dimension does not match the field")
-    if field.size and field.m == 1 and field.k == 1 and all(
-            isinstance(_unscaled(f)[0], Bump) for f in field.basis):
-        design = _windowed_sparse_design(field, b, alpha)
-        arrays = (design.data, design.indices, design.indptr)
-    else:
-        n_entries = field.size * b.n_grid_points * field.k
-        if n_entries > _BLOCK_ENTRIES:
-            raise MemoryError(
-                f"dense design of {n_entries} entries exceeds the supported size")
-        design = design_at_points(field, grid_points(b), alpha)
-        arrays = (design,)
-    for arr in arrays:
+    design = _design(field, grid_points(b), alpha)
+    for arr in (design.data, design.indices, design.indptr) if sp.issparse(design) else (design,):
         arr.setflags(write=False)
     return design
 
 
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:
-    """Path values on the grid for a batch of coefficient rows: (S, G*k)."""
-    if sp.issparse(design):
-        return design.T.dot(coeffs.T).T
+    """Path values at the design's points for a batch of coefficient rows: (S, G*k)."""
     return coeffs @ design
 
 
@@ -216,10 +231,7 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
     A lower bound for the true sup over the box, exact when the extrema lie
     on grid points.
     """
-    n_rows = coeffs.shape[0]
-    best = np.zeros(n_rows)
-    if field.size == 0:
-        return best
+    best = np.zeros(coeffs.shape[0])
     for a in multi_indices(field.m, r):
         vals = apply_design(coeffs, box_design(field, b, a))
         # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
@@ -309,8 +321,6 @@ def projection_residual(field: KLField, g, b: Box) -> float:
                             dtype=np.float64).ravel()
     else:
         raise TypeError("g must be a SamplePath, SupportBasisFunction or callable")
-    if field.size == 0:
-        return float(np.sqrt(np.mean(target ** 2))) if target.size else 0.0
     design = design_at_points(field, pts, (0,) * field.m)
     gram = design @ design.T
     rhs = design @ target

@@ -13,9 +13,9 @@ invariant under rescaling the field.
 Covariances are built for all points at once: for an expansion kernel as
 the Gram form ``sum_n sigma_n^2 J[n, g] J[n, g]^T`` of the jet design
 ``J`` (:func:`grflab.field.jet_design`), for a closed-form kernel entry by
-entry from its derivative formulas.  The spectra come from batched LAPACK
-``eigvalsh`` calls, one per block of points whose jet design stays below
-``_BLOCK_ENTRIES`` entries.
+entry from its derivative formulas.  The sigmas and each point's jets are
+scaled by powers of two first, so tiny fields do not underflow.  The
+spectra come from batched LAPACK ``eigvalsh`` calls, one per block of points.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import _BLOCK_ENTRIES, SamplePath, jet_design
+from .field import SamplePath, _blocks, jet_design
 from .kernel import CovarianceKernel, KLKernel, eval_kernel_deriv_pairs
 from .linalg import eigvalsh
 from .multiindex import multi_indices
@@ -62,11 +62,22 @@ def jet_eval(path: SamplePath, p, r: int) -> Jet:
     return Jet(tuple(pt), r, values)
 
 
-def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int) -> np.ndarray:
-    """Jet covariance matrices at every point: (G, D, D)."""
+def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int):
+    """Jet covariances at every point over powers of two: (G, D, D) and (G,) exponents.
+
+    Matrix ``g`` times ``2**exponents[g]`` is the covariance.  The sigmas,
+    and each point's jets, are scaled to a largest entry in [0.5, 1): exact,
+    so entries that would be subnormal keep their bits and ratios.
+    """
     if isinstance(K, KLKernel):
         J = jet_design(K.field, pts, r)
-        cov = np.einsum("n,ngi,ngj->gij", K.field.sigma_array ** 2, J, J)
+        sig = K.field.sigma_array
+        _, e_sig = np.frexp(sig.max(initial=0.0))
+        _, e_pts = np.frexp(np.abs(J).max(axis=0, initial=0.0).max(axis=1))
+        sig = np.ldexp(sig, -e_sig)
+        J = np.ldexp(J, -e_pts[None, :, None])
+        cov = np.einsum("n,ngi,ngj->gij", sig ** 2, J, J)
+        exponents = 2 * (e_sig + e_pts)
     else:
         alphas = multi_indices(K.m, r)
         cov = np.empty((pts.shape[0], len(alphas), len(alphas)))
@@ -74,21 +85,23 @@ def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int) -> np.ndarray
             for bi in range(ai, len(alphas)):
                 vals = eval_kernel_deriv_pairs(K, pts, pts, a, alphas[bi])[:, 0, 0]
                 cov[:, ai, bi] = cov[:, bi, ai] = vals
-    return 0.5 * (cov + cov.transpose(0, 2, 1))
+        exponents = np.zeros(pts.shape[0], dtype=int)
+    return 0.5 * (cov + cov.transpose(0, 2, 1)), exponents
 
 
 def jet_covariance(K: CovarianceKernel, p, r: int) -> JetCovariance:
     """Covariance matrix of the order-r jet at ``p``: d_(alpha,beta) K(p,p)."""
     pt = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    return JetCovariance(tuple(pt), r, _jet_covariances(K, pt.reshape(1, -1), r)[0])
+    cov, exponents = _jet_covariances(K, pt.reshape(1, -1), r)
+    return JetCovariance(tuple(pt), r, np.ldexp(cov[0], exponents[0]))
 
 
 def _jet_spectra(K: CovarianceKernel, pts: np.ndarray, r: int) -> np.ndarray:
-    """Ascending jet covariance eigenvalues at every point: (G, D)."""
+    """Ascending jet covariance eigenvalues at every point, each row over a power of four."""
     n_terms = K.field.size if isinstance(K, KLKernel) else 1
-    chunk = max(1, _BLOCK_ENTRIES // max(1, n_terms * jet_dimension(K.m, K.k, r)))
-    return np.concatenate([eigvalsh(_jet_covariances(K, pts[start:start + chunk], r))
-                           for start in range(0, pts.shape[0], chunk)])
+    per_point = n_terms * jet_dimension(K.m, K.k, r)
+    return np.concatenate([eigvalsh(_jet_covariances(K, pts[rows], r)[0])
+                           for rows in _blocks(pts.shape[0], per_point)])
 
 
 def _spectral_ratios(w: np.ndarray) -> np.ndarray:

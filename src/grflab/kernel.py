@@ -16,6 +16,10 @@ own seminorm is the largest diagonal entry d_alpha d_alpha K(x, x): by
 Cauchy-Schwarz no pair (x, y) exceeds it, so this is the exact grid sup over
 all pairs.  A distance between two kernels is the seminorm of a difference,
 which is not positive semidefinite, so distances stay pair scans.
+
+Expansion kernels read their designs from :mod:`grflab.field`, which alone
+decides whether one is sparse (bump fields) or dense; the products and
+reductions here are written once for both forms.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import Box, grid_points
-from .field import _BLOCK_ENTRIES, KLField, box_design, design_at_points
+from .field import KLField, _blocks, box_design, design_at_points
 from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
@@ -132,15 +136,13 @@ def eval_kernel_deriv_pairs(K: CovarianceKernel, X: np.ndarray, Y: np.ndarray,
     if field.size == 0:
         return out
     w = field.sigma_array ** 2
-    chunk = max(1, _BLOCK_ENTRIES // (field.size * k * k))
-    for start in range(0, X.shape[0], chunk):
-        stop = start + chunk
-        fp = design_at_points(field, X[start:stop], a).reshape(field.size, -1, k)
-        fq = design_at_points(field, Y[start:stop], b).reshape(field.size, -1, k)
+    for rows in _blocks(X.shape[0], field.size * k * k):
+        fp = design_at_points(field, X[rows], a).reshape(field.size, -1, k)
+        fq = design_at_points(field, Y[rows], b).reshape(field.size, -1, k)
         # per-term outer products first: commutativity then makes the
         # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
         prod = fp[:, :, :, None] * fq[:, :, None, :]
-        out[start:stop] = np.tensordot(w, prod, axes=(0, 0))
+        out[rows] = np.tensordot(w, prod, axes=(0, 0))
     return out
 
 
@@ -193,15 +195,8 @@ def _closed_form_values(K: ClosedFormKernel, X: np.ndarray, Y: np.ndarray,
 
 def _scaled_designs(field: KLField, b: Box, alphas):
     """Designs multiplied by sigma, so gram products carry sigma^2."""
-    out = {}
-    sig = field.sigma_array
-    for a in alphas:
-        d = box_design(field, b, a)
-        if sp.issparse(d):
-            out[a] = sp.diags(sig) @ d
-        else:
-            out[a] = sig[:, None] * d
-    return out
+    sig = field.sigma_array[:, None]
+    return {a: sig * box_design(field, b, a) for a in alphas}
 
 
 def kernel_seminorm(K: CovarianceKernel, spec: KernelSeminormSpec) -> float:
@@ -216,11 +211,8 @@ def kernel_seminorm(K: CovarianceKernel, spec: KernelSeminormSpec) -> float:
         raise ValueError("box dimension does not match the kernel")
     alphas = multi_indices(K.m, spec.order)
     if isinstance(K, KLKernel):
-        if K.field.size == 0:
-            return 0.0
         # squares of sigma-scaled rows, as the Gram entries form them
-        diags = [np.asarray(s.multiply(s).sum(axis=0)) if sp.issparse(s)
-                 else np.einsum("ng,ng->g", s, s)
+        diags = [(s * s).sum(axis=0)
                  for s in _scaled_designs(K.field, spec.box, alphas).values()]
     else:
         pts = grid_points(spec.box)
@@ -264,13 +256,12 @@ def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
     left = {a: _stacked([d[a] for _, d in kl], "csc").T for a in alphas} if kl else {}
     right = {a: _stacked([c * d[a] for c, d in kl], "csr") for a in alphas} if kl else {}
     side = spec.box.n_grid_points * K1.k
-    chunk = max(1, _BLOCK_ENTRIES // side)
     best = 0.0
     for a, b in combinations_with_replacement(alphas, 2):
-        for start in range(0, side, chunk):
-            block = left[a][start:start + chunk] @ right[b] if kl else 0.0
+        for rows in _blocks(side, side):
+            block = left[a][rows] @ right[b] if kl else 0.0
             for c, K in closed:
-                block = block + c * _closed_form_block(K, pts[start:start + chunk], pts, a, b)
+                block = block + c * _closed_form_block(K, pts[rows], pts, a, b)
             # max |entry| without an abs temporary; a sparse block's max and
             # min count its implicit zeros
             if block.size:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .basis import Box
-from .field import (_BLOCK_ENTRIES, KLField, apply_design, batch_seminorms, box_design,
+from .field import (KLField, _blocks, apply_design, batch_seminorms, box_design,
                     sample_batch_coeffs)
 from .kernel import KernelSeminormSpec, kernel_distance, kernel_of, kernel_seminorm
 
@@ -159,13 +159,10 @@ def _mean_estimate(values: np.ndarray, seed: int) -> MCEstimate:
 def _coeff_chunks(field: KLField, b: Box, n_samples: int, seed: int):
     """Coefficient rows of samples 0 .. n_samples-1, one chunk at a time.
 
-    A chunk's coefficients and grid values hold at most ``_BLOCK_ENTRIES``
-    entries.
+    A chunk's coefficients and grid values fit in one block.
     """
-    per_sample = max(1, b.n_grid_points * field.k + field.size)
-    chunk = max(1, _BLOCK_ENTRIES // per_sample)
-    for start in range(0, n_samples, chunk):
-        yield sample_batch_coeffs(field, seed, np.arange(start, min(start + chunk, n_samples)))
+    for rows in _blocks(n_samples, b.n_grid_points * field.k + field.size):
+        yield sample_batch_coeffs(field, seed, np.arange(rows.start, rows.stop))
 
 
 def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 20000,

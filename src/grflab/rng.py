@@ -40,21 +40,6 @@ _MIX_2 = 0x94D049BB133111EB
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _mix64_int(z: int) -> int:
-    """splitmix64 finalizer on a Python int reduced mod 2**64."""
-    z &= _M64
-    z ^= z >> 30
-    z = (z * _MIX_1) & _M64
-    z ^= z >> 27
-    z = (z * _MIX_2) & _M64
-    return z ^ (z >> 31)
-
-
-def stream_key(seed: int, index: int) -> int:
-    """64-bit key of stream ``index`` derived from ``seed``."""
-    return _mix64_int((seed + (index + 1) * GAMMA) & _M64)
-
-
 # ---------------------------------------------------------------------------
 # uniform words
 # ---------------------------------------------------------------------------

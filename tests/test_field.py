@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scipy.sparse as sp
 
@@ -10,8 +11,8 @@ from grflab import (Bump, Harmonic, IllConditionedError, Monomial, OrderUnsuppor
                     grid_points, kernel_of, kl_field, projection_residual,
                     sample, sample_seminorm, support_basis, unit_interval)
 from grflab import counterexample as cx
-from grflab.field import (_windowed_sparse_design, batch_seminorms, box_design,
-                          design_at_points, jet_design, sample_batch_coeffs)
+from grflab.field import (_design, batch_seminorms, box_design, design_at_points,
+                          jet_design, sample_batch_coeffs)
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -223,6 +224,11 @@ def test_jet_design_layout(rng_np):
                 assert np.array_equal(J[n, g, [ai, len(alphas) + ai]], bf.eval_partial(p, a))
 
 
+def _per_function_design(field, pts, a):
+    """Oracle: one eval_partial call per basis function, stacked as rows."""
+    return np.stack([f.eval_partial(pts, a).ravel() for f in field.basis])
+
+
 def test_windowed_design_matches_dense_bit_for_bit():
     h = 1.0 / 64
     basis = [
@@ -237,17 +243,69 @@ def test_windowed_design_matches_dense_bit_for_bit():
         Bump((-0.05,), 0.1, (0.4,)),                           # half outside
     ]
     field = kl_field(basis, [0.5 + 0.1 * i for i in range(len(basis))])
-    b = unit_interval(64)
+    pts = grid_points(unit_interval(64))
     for a in range(5):
-        sparse = _windowed_sparse_design(field, b, (a,))
-        dense = design_at_points(field, grid_points(b), (a,))
-        assert sp.issparse(sparse)
-        assert np.array_equal(sparse.toarray(), dense)
-        assert np.all(sparse.data != 0.0)
-    assert _windowed_sparse_design(field, b, (0,))[4].nnz == 1
-    assert _windowed_sparse_design(field, b, (0,))[6].nnz == 0
+        design = _design(field, pts, (a,))
+        assert isinstance(design, sp.csr_array)
+        assert np.array_equal(design.toarray(), _per_function_design(field, pts, (a,)))
+        assert np.all(design.data != 0.0)
+    assert list(np.diff(_design(field, pts, (0,)).indptr)[[4, 6]]) == [1, 0]
     with pytest.raises(OrderUnsupportedError):
-        _windowed_sparse_design(field, b, (5,))
+        _design(field, pts, (5,))
+
+
+@st.composite
+def bump_design_cases(draw):
+    """(Scaled) bumps on the line and points that are unsorted, repeated,
+    outside any box, or on and next to the support edges."""
+    basis = []
+    for _ in range(draw(st.integers(1, 8))):
+        f = Bump((draw(st.floats(-0.5, 1.5)),), draw(st.floats(1e-3, 0.8)),
+                 (draw(st.floats(-2.0, 2.0)),))
+        for _ in range(draw(st.integers(0, 2))):
+            f = Scaled(f, draw(st.floats(-3.0, 3.0)))
+        basis.append(f)
+    edges = []
+    for f in basis:
+        while isinstance(f, Scaled):
+            f = f.inner
+        for e in (f.center[0] - f.radius, f.center[0] + f.radius):
+            edges += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+    xs = draw(st.lists(st.floats(-1.0, 2.0) | st.sampled_from(edges), min_size=1, max_size=30))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=10))
+    xs = draw(st.permutations(xs))
+    return kl_field(basis), np.array(xs, dtype=np.float64).reshape(-1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bump_design_cases(), st.integers(0, 4))
+def test_windowed_design_at_any_points(case, a):
+    field, pts = case
+    design = _design(field, pts, (a,))
+    assert isinstance(design, sp.csr_array)
+    assert np.all(design.data != 0.0)
+    assert np.array_equal(design.toarray(), _per_function_design(field, pts, (a,)))
+
+
+def test_counterexample_path_is_windowed_on_the_integration_grid():
+    """The n = 100 path at build_Y_n's tabulation grid: one stored entry per
+    point at most, and eval_sample equals the per-term sum."""
+    cfg = cx.config(100, integration_order=1)
+    field = cx.build_X_n(cfg)
+    grid = cx.build_Y_n(cfg).grid.reshape(-1, 1)
+    assert grid.shape == (4507, 1)
+    design = _design(field, grid, (0,))
+    assert isinstance(design, sp.csr_array) and design.nnz <= 4507
+    path = SamplePath(field, sample_batch_coeffs(field, 5, [0])[0])
+    # the supports are disjoint, so the sum has one non-zero term per point
+    # and its value does not depend on the order of summation
+    x = grid[:, 0]
+    want = np.zeros(x.size)
+    for c, f in zip(path.coeffs, field.basis):
+        inside = np.abs(x - f.center[0]) < f.radius
+        want[inside] += c * f.eval(grid[inside])[:, 0]
+    assert np.count_nonzero(want) == design.nnz
+    assert np.array_equal(eval_sample(path, grid)[:, 0], want)
 
 
 def test_counterexample_design_is_windowed():
@@ -261,17 +319,17 @@ def test_counterexample_design_is_windowed():
 @pytest.mark.parametrize("n", [2, 4, 5, 8, 10])
 def test_small_bump_fields_are_windowed(n):
     """Bump fields take the windowed-sparse design at every grid size, with
-    the dense design's values and the dense product's seminorms."""
+    the per-function values and the dense product's seminorms."""
     cfg = cx.config(n)
     field, b = cx.build_X_n(cfg), cx.grid_box(cfg)
     coeffs = sample_batch_coeffs(field, 11, np.arange(64))
     ref = np.zeros(64)
     for a in [(0,), (1,)]:
         design = box_design(field, b, a)
-        assert isinstance(design, sp.csr_matrix)
+        assert isinstance(design, sp.csr_array)
         for arr in (design.data, design.indices, design.indptr):
             assert not arr.flags.writeable
-        dense = design_at_points(field, grid_points(b), a)
+        dense = _per_function_design(field, grid_points(b), a)
         assert np.array_equal(design.toarray(), dense)
         ref = np.maximum(ref, np.max(np.abs(coeffs @ dense), axis=1))
         assert np.array_equal(batch_seminorms(field, coeffs, b, a[0]), ref)

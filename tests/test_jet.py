@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grflab import (Bump, Harmonic, Monomial, SamplePath, Scaled, jet_covariance,
                     jet_dimension, jet_eval, kernel_of, kl_field,
@@ -173,12 +173,24 @@ def jet_cases(draw):
     return kl_field(basis, sigmas, m=m, k=k), box([0.0] * m, [1.0] * m, res), r
 
 
-def _reference_ratios(K, b, r):
-    """min/max eigenvalue per grid point, one eval_kernel_deriv per entry."""
-    alphas = multi_indices(K.m, r)
+def _reference_ratios(field, b, r):
+    """min/max eigenvalue per grid point, one eval_kernel_deriv per entry.
+
+    At each point every basis function is scaled by one power of two that
+    brings the largest jet entry near 1 (capped at 2**1000, which still
+    lifts a subnormal entry to a normal one), so the jet products of a tiny
+    field do not underflow.  Powers of two scale exactly, and the ratio of
+    exact covariances does not depend on the scale.
+    """
+    alphas = multi_indices(field.m, r)
     n_a = len(alphas)
     out = []
     for p in grid_points(b):
+        top = max(float(np.max(np.abs(f.eval_partial(p, a))))
+                  for f in field.basis for a in alphas)
+        scale = float(np.ldexp(1.0, min(-np.frexp(top)[1], 1000)))
+        K = kernel_of(kl_field([Scaled(f, scale) for f in field.basis], field.sigmas,
+                               field.m, field.k))
         cov = np.empty((K.k * n_a, K.k * n_a))
         for ai, a in enumerate(alphas):
             for bi, bb in enumerate(alphas):
@@ -193,6 +205,13 @@ def _reference_ratios(K, b, r):
 
 @settings(max_examples=60, deadline=None)
 @given(jet_cases())
+# tiny amplitudes: the unscaled covariances are subnormal or underflow to zero
+@example((kl_field([Bump((0.0,), 1.0, (5.68e-162,)), Monomial((0,), (0.0,)),
+                    Harmonic((0.0,), 0.0, (0.0,))], (1.5, 1.0, 1.0)), box(0, 1, 2), 1))
+@example((kl_field([Harmonic((1.0,), 0.0, (2.4280264162991374e-160,))], (1.5,)),
+          box(0, 1, 1), 1))
+@example((kl_field([Bump((0.0,), 1.1759158865445831, (6.669072560330203e-159,))],
+                   (0.3046875,)), box(0, 1, 1), 2))
 def test_batched_scan_matches_per_point_reference(case):
     """Ratios agree to 1e-9 relative, with a 1e-13 absolute floor for the
     round-off-level ratios of rank-deficient jets.  The worst point must be
@@ -201,7 +220,7 @@ def test_batched_scan_matches_per_point_reference(case):
     rank-deficient jets) it must be one of the tied points."""
     field, b, r = case
     rel_tol = 1e-9
-    ref = _reference_ratios(kernel_of(field), b, r)
+    ref = _reference_ratios(field, b, r)
     scan = scan_nondegeneracy(kernel_of(field), b, r, rel_tol)
     tol = 1e-9 * np.abs(ref) + 1e-13
     assert scan.n_points == ref.size
@@ -217,3 +236,19 @@ def test_batched_scan_matches_per_point_reference(case):
         assert got[0] == want
     else:
         assert got[0] in tied
+
+
+def test_scan_is_invariant_under_power_of_two_sigmas():
+    """Sigmas times 2**-530 square to subnormals; the scan must not see it."""
+    cases = [
+        (kl_field([ONE, T, Harmonic((2.0,), 0.3, (1.0,))], (1.0, 0.7, 1.1)),
+         unit_interval(16), 2),
+        (kl_field([T]), unit_interval(8), 1),
+        (kl_field([Monomial((1, 0), (1.0,)), Harmonic((1.0, 2.0), 0.3, (0.5,)),
+                   Bump((0.2, 0.1), 0.9, (0.7,))], (1.2, 0.8, 0.5)),
+         box([0.0, 0.0], [1.0, 1.0], 4), 1),
+    ]
+    for field, b, r in cases:
+        tiny = kl_field(field.basis, [s * 2.0 ** -530 for s in field.sigmas])
+        assert scan_nondegeneracy(kernel_of(tiny), b, r) == scan_nondegeneracy(
+            kernel_of(field), b, r)
