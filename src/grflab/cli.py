@@ -52,9 +52,14 @@ def _load_json_arg(value: str):
     except OSError:
         pass
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON ({exc})")
+
+
+def _reject_constant(name: str):
+    # json.loads accepts NaN and +-Infinity, which no schema rule can bound
+    raise SchemaError(f"not valid JSON (non-finite number {name})")
 
 
 def _field_from_arg(value: str):
@@ -373,7 +378,8 @@ def _cmd_validate(args):
         full = grid_points(b)
         stride = max(1, full.shape[0] // args.max_points)
         pts = full[::stride][:args.max_points]
-    pairs = [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))]
+    i, j = np.triu_indices(len(pts))
+    pairs = np.stack((pts[i], pts[j]), axis=1)
     sym = check_symmetry(K, pairs, tol=args.tol if args.tol is not None else 1e-12)
     psd = check_psd(K, pts, tol=args.tol)
     passed = sym.passed and psd.passed

@@ -304,16 +304,17 @@ def check_symmetry(K, point_pairs, tol: float = 1e-12) -> SymmetryReport:
 
     Covariance kernels are evaluated in one batch over all pairs.
     """
-    pairs = list(point_pairs)
     if _is_kernel(K):
+        pairs = np.asarray(point_pairs, dtype=np.float64)
+        if pairs.size and pairs.shape[1:] != (2, K.m):
+            raise ValueError(f"need (n, 2, {K.m}) point pairs, got shape {pairs.shape}")
+        P, Q = np.ascontiguousarray(pairs.reshape(-1, 2, K.m).transpose(1, 0, 2))
         zero = (0,) * K.m
-        P = np.array([_point(p, K.m) for p, _ in pairs]).reshape(-1, K.m)
-        Q = np.array([_point(q, K.m) for _, q in pairs]).reshape(-1, K.m)
         gaps = [eval_kernel_deriv_pairs(K, P, Q, zero, zero)
                 - eval_kernel_deriv_pairs(K, Q, P, zero, zero).transpose(0, 2, 1)]
     else:
         fn = _callable_fn(K)
-        gaps = [fn(p, q) - fn(q, p).T for p, q in pairs]
+        gaps = [fn(p, q) - fn(q, p).T for p, q in point_pairs]
     worst = max((float(np.max(np.abs(g))) for g in gaps if g.size), default=0.0)
     return SymmetryReport(worst <= tol, worst, tol)
 

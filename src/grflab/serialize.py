@@ -4,15 +4,19 @@ Documents are validated against the shipped JSON schema before decoding;
 violations are reported with a JSON pointer to the offending location.
 Unknown fields are rejected.  ``field_digest`` hashes the canonical form of
 a field document for report provenance.
+
+The schema is compiled once, at import, into one predicate per ``$defs``
+entry.  jsonschema is imported only to explain a document the predicate
+rejects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+from collections.abc import Mapping, Sequence
 from importlib import resources
-
-import jsonschema
 
 from .basis import Box, BasisFunction, Bump, Harmonic, Monomial, Scaled, box
 from .exceptions import SchemaError
@@ -24,10 +28,146 @@ _SCHEMA_DOC = json.loads(
     resources.files("grflab").joinpath("schemas/grflab.schema.json").read_text())
 
 
+# ---------------------------------------------------------------------------
+# schema compiler
+# ---------------------------------------------------------------------------
+
+def _is_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, numbers.Number)
+
+
+def _is_integer(x) -> bool:
+    # Draft 6 and later: a float with an integral value is an integer
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+_ANNOTATIONS = frozenset({"$schema", "$id", "title"})
+_DEFS_PREFIX = "#/$defs/"
+
+
+def _json_equal(a, b) -> bool:
+    """Equality as jsonschema's ``const`` and ``enum`` apply it: True is not 1."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, Sequence) and isinstance(b, Sequence):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return len(a) == len(b) and all(
+            key in b and _json_equal(value, b[key]) for key, value in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+def compile_schema(doc: dict) -> dict:
+    """One predicate per ``$defs`` entry of ``doc``.
+
+    A predicate returns True exactly when Draft 2020-12 validation, as
+    jsonschema applies it, accepts the instance.  Only the keywords the
+    shipped schema uses are supported; any other raises ``ValueError``.
+    """
+    unknown = set(doc) - _ANNOTATIONS - {"$defs"}
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
+    defs = doc.get("$defs", {})
+    compiled: dict = {}
+
+    def ref(target):
+        name = target[len(_DEFS_PREFIX):]
+        if not target.startswith(_DEFS_PREFIX) or name not in defs:
+            raise ValueError(f"unsupported $ref {target!r}")
+        return lambda x: compiled[name](x)  # resolved late: refs may recurse
+
+    def properties(value):
+        props = {name: node(sub) for name, sub in value.items()}
+
+        def check(x):
+            if isinstance(x, dict):
+                for name, item in x.items():
+                    sub = props.get(name)
+                    if sub is not None and not sub(item):
+                        return False
+            return True
+        return check
+
+    def keyword(key, value, schema):
+        # every keyword applies on its own, as in jsonschema: a number rule
+        # passes any non-number, an object rule any non-object
+        if key == "type":
+            if value not in _TYPES:
+                raise ValueError(f"unsupported type {value!r}")
+            return _TYPES[value]
+        if key == "required":
+            names = frozenset(value)
+            return lambda x: not isinstance(x, dict) or names <= x.keys()
+        if key == "additionalProperties" and value is False:
+            allowed = frozenset(schema.get("properties", ()))
+            return lambda x: not isinstance(x, dict) or x.keys() <= allowed
+        if key == "minItems":
+            return lambda x: not isinstance(x, list) or len(x) >= value
+        if key == "minimum":
+            return lambda x: not _is_number(x) or not x < value
+        if key == "exclusiveMinimum":
+            return lambda x: not _is_number(x) or not x <= value
+        if key == "const":
+            return lambda x: _json_equal(x, value)
+        if key == "enum":
+            return lambda x: any(_json_equal(x, each) for each in value)
+        if key == "$ref":
+            return ref(value)
+        if key == "properties":
+            return properties(value)
+        if key == "items" and isinstance(value, dict):
+            sub = node(value)
+            return lambda x: not isinstance(x, list) or all(map(sub, x))
+        if key == "oneOf":
+            branches = tuple(node(sub) for sub in value)
+            return lambda x: sum(branch(x) for branch in branches) == 1
+        raise ValueError(f"unsupported schema keyword {key!r}")
+
+    def node(schema):
+        checks = tuple(keyword(key, value, schema) for key, value in schema.items()
+                       if key not in _ANNOTATIONS)
+        if len(checks) == 1:
+            return checks[0]
+
+        def check(x):
+            for each in checks:
+                if not each(x):
+                    return False
+            return True
+        return check
+
+    for name, schema in defs.items():
+        compiled[name] = node(schema)
+    return compiled
+
+
+_CHECKS = compile_schema(_SCHEMA_DOC)
+
+
 def validate_document(kind: str, payload) -> None:
     """Validate ``payload`` against the named schema in the shipped document."""
-    if kind not in _SCHEMA_DOC["$defs"]:
+    if kind not in _CHECKS:
         raise ValueError(f"no schema named {kind!r}")
+    if not _CHECKS[kind](payload):
+        _explain_rejection(kind, payload)
+
+
+def _explain_rejection(kind: str, payload) -> None:
+    """Raise the jsonschema error for a document the compiled check rejected."""
+    import jsonschema
+
     schema = {"$defs": _SCHEMA_DOC["$defs"], "$ref": f"#/$defs/{kind}"}
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(payload), key=lambda e: list(e.absolute_path))
@@ -35,6 +175,7 @@ def validate_document(kind: str, payload) -> None:
         err = jsonschema.exceptions.best_match(errors)
         pointer = "/" + "/".join(str(part) for part in err.absolute_path)
         raise SchemaError(err.message, pointer)
+    raise RuntimeError(f"compiled schema check rejected a valid {kind!r} document")
 
 
 # ---------------------------------------------------------------------------

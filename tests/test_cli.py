@@ -105,6 +105,44 @@ def test_schema_error_exit_and_pointer(capsys):
     assert "schema error" in err
 
 
+@pytest.mark.parametrize("basis, line", [
+    ({"type": "monomial", "exponents": [-1], "amplitude": [1.0]},
+     "grflab: schema error at /basis/1/exponents/0: "
+     "/basis/1/exponents/0: -1 is less than the minimum of 0"),
+    ({"type": "bump", "center": [0.5], "radius": 0, "amplitude": [1.0]},
+     "grflab: schema error at /basis/1/radius: "
+     "/basis/1/radius: 0 is less than or equal to the minimum of 0"),
+])
+def test_schema_error_text_is_pinned(capsys, basis, line):
+    doc = json.loads(FIELD_T)
+    doc["basis"].append(basis)
+    assert run(["seminorm", "--field", json.dumps(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
+FIELD_NAN_SIGMA = ('{"m": 1, "k": 1, "basis": [{"type": "monomial", "exponents": [0], '
+                   '"amplitude": [1.0]}, {"type": "monomial", "exponents": [1], '
+                   '"amplitude": [1.0]}], "sigmas": [NaN, 1]}')
+FIELD_NAN_RADIUS = ('{"m": 1, "k": 1, "basis": [{"type": "bump", "center": [0.5], '
+                    '"radius": NaN, "amplitude": [1.0]}]}')
+
+
+@pytest.mark.parametrize("argv, constant", [
+    (["seminorm", "--field", FIELD_NAN_SIGMA], "NaN"),
+    (["jet-scan", "--field", FIELD_NAN_RADIUS], "NaN"),
+    (["seminorm", "--field", FIELD_T, "--box", '{"lower": [0], "upper": [Infinity]}'],
+     "Infinity"),
+    (["validate", "--field", FIELD_T, "--points", "[[0.1], [-Infinity]]"], "-Infinity"),
+])
+def test_non_finite_json_numbers_are_schema_errors(capsys, argv, constant):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("grflab: schema error at /: "
+                            f"not valid JSON (non-finite number {constant})\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         run(["no-such-command"])
@@ -121,17 +159,26 @@ def test_every_subcommand_has_help(capsys):
         assert len(capsys.readouterr().out) > 50
 
 
-def test_import_loads_no_unused_scipy_subpackages():
-    # every command pays for what `import grflab.cli` loads, and none uses these
+def test_import_loads_no_unused_scipy_subpackages(tmp_path):
+    # every command pays for what `import grflab.cli` loads, and none uses
+    # these; jsonschema is only imported to explain a rejected document
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    script = (
+        "import json, sys, grflab.cli\n"
+        "imported = sorted(sys.modules)\n"
+        "code = grflab.cli.run(sys.argv[1:])\n"
+        "print(json.dumps([imported, sorted(sys.modules), code]))\n")
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys, grflab.cli; print(json.dumps(sorted(sys.modules)))"],
+        [sys.executable, "-c", script, "seminorm", "--field", FIELD_AFFINE,
+         "--output", str(tmp_path / "seminorm.json")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    loaded = set(json.loads(out.stdout))
-    assert "grflab.cli" in loaded
+    imported, after_run, code = json.loads(out.stdout)
+    assert "grflab.cli" in imported and code == 0
     for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.stats"):
-        assert name not in loaded
+        assert name not in imported
+    for loaded in (imported, after_run):
+        assert not [m for m in loaded
+                    if m.split(".")[0] in ("jsonschema", "referencing", "attrs", "attr")]
 
 
 def test_gauss_ratio_command(capsys):

@@ -135,6 +135,19 @@ def test_check_symmetry():
     assert not rep.passed and rep.max_violation > 0.5
 
 
+def test_check_symmetry_reads_pair_arrays_like_pair_lists():
+    field = kl_field([Monomial((1, 2), (1.0,)), Harmonic((1.0, 2.0), 0.3, (1.0,)),
+                      Bump((0.4, 0.6), 0.5, (1.0,))], (1.0, 0.7, 1.3))
+    pts = np.random.default_rng(5).random((7, 2))
+    i, j = np.triu_indices(len(pts))
+    listed = [(pts[a], pts[b]) for a, b in zip(i, j)]
+    for K in (kernel_of(field), ClosedFormKernel("exp_dot", 2)):
+        rep = check_symmetry(K, np.stack((pts[i], pts[j]), axis=1))
+        assert rep == check_symmetry(K, listed)
+        with pytest.raises(ValueError):
+            check_symmetry(K, np.zeros((3, 2, 3)))
+
+
 def test_check_psd():
     rep = check_psd(kernel_of(mixed_field()), np.linspace(0, 1, 9).reshape(-1, 1))
     assert rep.passed and rep.min_eigenvalue >= -1e-10
