@@ -27,7 +27,7 @@ from .exceptions import GrflabError, SchemaError
 from .field import apply_design, box_design, sample_batch_coeffs
 from .jet import scan_nondegeneracy
 from .kernel import (KernelSeminormSpec, check_psd, check_symmetry, eval_kernel,
-                     kernel_of, kernel_seminorm)
+                     kernel_of, kernel_seminorm, points_array)
 from .mc import estimate_probability, gaussian_ratio, limit_study
 from .serialize import (box_from_dict, event_from_dict, field_digest,
                         field_from_dict, kernel_from_dict, validate_document)
@@ -370,9 +370,7 @@ def _cmd_counterexample(args):
 def _cmd_validate(args):
     K = _kernel_from_args(args)
     if args.points:
-        pts = np.atleast_2d(np.asarray(_load_json_arg(args.points), dtype=float))
-        if pts.shape[1] != K.m:
-            pts = pts.reshape(-1, K.m)
+        pts = points_array(_load_json_arg(args.points), K.m)
     else:
         b = _box_from_args(args, K.m)
         full = grid_points(b)

@@ -130,39 +130,53 @@ def _blocks(n: int, per_item: int):
         yield slice(start, min(start + step, n))
 
 
-def _unscaled(f: BasisFunction) -> tuple[BasisFunction, tuple]:
-    """The function under any ``Scaled`` wrappers and their factors, innermost first."""
-    factors = ()
-    while isinstance(f, Scaled):
-        factors = (f.factor,) + factors
-        f = f.inner
-    return f, factors
+@lru_cache(maxsize=64)
+def _bump_windows(field: KLField):
+    """Centres, radii and factor rows of a 1-D scalar (scaled) bump field, else None.
 
-
-def _windowed_design(field: KLField, x: np.ndarray, alpha: MultiIndex) -> sp.csr_array:
-    # every row a (scaled) bump on the line: evaluate each row only at the
-    # points inside its support window, all rows in one call.  The windows
-    # are found on the points in sorted order; ``order`` maps them back to
-    # the caller's columns, so unsorted and repeated points are fine
-    order = np.argsort(x, kind="stable")
-    axis = x[order]
-    bumps, factors = zip(*map(_unscaled, field.basis))
+    Computed once per field and shared, so the arrays are read-only.
+    """
+    if not (field.size and field.m == 1 and field.k == 1):
+        return None
+    bumps, chains = [], []
+    for f in field.basis:
+        factors = ()
+        while isinstance(f, Scaled):
+            f, factors = f.inner, (f.factor,) + factors
+        if not isinstance(f, Bump):
+            return None
+        bumps.append(f)
+        chains.append((f.amplitude[0], *factors))
     centers = np.array([f.center[0] for f in bumps], dtype=np.float64)
     radii = np.array([f.radius for f in bumps], dtype=np.float64)
+    # amplitude, then wrapper factors innermost first, one row per product
+    # as Bump and Scaled evaluate them; padding with 1.0 is exact
+    levels = np.array([[c[level] if level < len(c) else 1.0 for c in chains]
+                       for level in range(max(map(len, chains)))])
+    for arr in (centers, radii, levels):
+        arr.setflags(write=False)
+    return centers, radii, levels
+
+
+def _windowed_design(x: np.ndarray, alpha: MultiIndex, centers: np.ndarray,
+                     radii: np.ndarray, levels: np.ndarray) -> sp.csr_array:
+    # evaluate each row only at the points inside its support window, all
+    # rows in one call.  The windows are found on the points in sorted
+    # order; ``order`` maps them back to the caller's columns, so unsorted
+    # and repeated points are fine
+    order = np.argsort(x, kind="stable")
+    axis = x[order]
     i0 = np.searchsorted(axis, centers - radii, side="left")
     counts = np.searchsorted(axis, centers + radii, side="right") - i0
-    rows = np.repeat(np.arange(field.size), counts)
+    rows = np.repeat(np.arange(centers.size), counts)
     starts = np.cumsum(counts) - counts
     pos = np.arange(rows.size) - np.repeat(starts - i0, counts)
     vals = bump_partial(axis[pos, None], centers[rows, None], radii[rows], alpha)
-    # amplitude, then wrapper factors innermost first, one product at a time
-    # as Bump and Scaled evaluate them; padding with 1.0 is exact
-    chains = [(f.amplitude[0], *fac) for f, fac in zip(bumps, factors)]
-    for level in range(max(map(len, chains))):
-        vals *= np.array([c[level] if level < len(c) else 1.0 for c in chains])[rows]
+    for factor in levels:
+        vals *= factor[rows]
     nz = vals != 0.0
     return sp.csr_array((vals[nz], (rows[nz], order[pos[nz]])),
-                        shape=(field.size, x.shape[0]))
+                        shape=(centers.size, x.shape[0]))
 
 
 def _design(field: KLField, pts: np.ndarray, alpha):
@@ -171,14 +185,16 @@ def _design(field: KLField, pts: np.ndarray, alpha):
     A non-empty field of (scaled) bumps with m = k = 1 gets a windowed
     ``csr_array`` at any points; every other field a dense array, refused
     with :class:`MemoryError` above ``_BLOCK_ENTRIES`` entries.  Column
-    ``g*k + j`` is component ``j`` at point ``g``.
+    ``g*k + j`` is component ``j`` at point ``g``.  Consumers read either
+    form through the operations both support: ``@``, elementwise ``*``,
+    ``.sum(axis=...)``, column slices and ``abs(...).max(axis=0)``.
     """
     alpha = mi_validate(alpha, field.m)
     if pts.ndim != 2 or pts.shape[1] != field.m:
         raise ValueError(f"points of shape {pts.shape} do not match dimension {field.m}")
-    if field.size and field.m == 1 and field.k == 1 and all(
-            isinstance(_unscaled(f)[0], Bump) for f in field.basis):
-        return _windowed_design(field, pts[:, 0], alpha)
+    windows = _bump_windows(field)
+    if windows is not None:
+        return _windowed_design(pts[:, 0], alpha, *windows)
     n_entries = field.size * pts.shape[0] * field.k
     if n_entries > _BLOCK_ENTRIES:
         raise MemoryError(f"dense design of {n_entries} entries exceeds the supported size")
@@ -188,24 +204,9 @@ def _design(field: KLField, pts: np.ndarray, alpha):
     return out
 
 
-def design_at_points(field: KLField, pts: np.ndarray, alpha: MultiIndex) -> np.ndarray:
-    """Dense view of :func:`_design`: (N, G*k) values of d^alpha f_n at the points."""
-    design = _design(field, pts, alpha)
-    return design.toarray() if sp.issparse(design) else design
-
-
-def jet_design(field: KLField, pts: np.ndarray, r: int) -> np.ndarray:
-    """Order-r jets of every basis function at every point: (N, G, k*P).
-
-    ``P = C(m+r, r)``; the last axis is ordered output-component-major,
-    then graded-lex in alpha, like :class:`grflab.jet.Jet` values.  One
-    :func:`design_at_points` call per multi-index, no per-point loop.
-    """
-    n_pts = pts.shape[0]
-    alphas = multi_indices(field.m, r)
-    per_alpha = [design_at_points(field, pts, a).reshape(field.size, n_pts, field.k)
-                 for a in alphas]
-    return np.stack(per_alpha, axis=-1).reshape(field.size, n_pts, field.k * len(alphas))
+def _dense(x) -> np.ndarray:
+    """A Gram matrix or per-point maximum of designs, never a design, as an ndarray."""
+    return np.zeros(x.shape) + x
 
 
 @lru_cache(maxsize=64)
@@ -276,7 +277,8 @@ def support_basis(field: KLField, p, j: int) -> SupportBasisFunction:
     if not 0 <= j < field.k:
         raise ValueError(f"component {j} out of range for k={field.k}")
     pt = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    values = design_at_points(field, pt.reshape(1, -1), (0,) * field.m)[:, j]
+    # the sum over the design's one column j is that column's values
+    values = _design(field, pt.reshape(1, -1), (0,) * field.m)[:, j::field.k].sum(axis=1)
     return SupportBasisFunction(field, tuple(pt), j, field.sigma_array ** 2 * values)
 
 
@@ -321,8 +323,8 @@ def projection_residual(field: KLField, g, b: Box) -> float:
                             dtype=np.float64).ravel()
     else:
         raise TypeError("g must be a SamplePath, SupportBasisFunction or callable")
-    design = design_at_points(field, pts, (0,) * field.m)
-    gram = design @ design.T
+    design = _design(field, pts, (0,) * field.m)
+    gram = _dense(design @ design.T)
     rhs = design @ target
     coeffs = solve_psd_pinv(gram, rhs)
     resid = design.T @ coeffs - target

@@ -10,12 +10,12 @@ submanifold of jet space.  Rank is decided by the spectral ratio
 min/max eigenvalue against a relative threshold, so the verdict is
 invariant under rescaling the field.
 
-Covariances are built for all points at once: for an expansion kernel as
-the Gram form ``sum_n sigma_n^2 J[n, g] J[n, g]^T`` of the jet design
-``J`` (:func:`grflab.field.jet_design`), for a closed-form kernel entry by
-entry from its derivative formulas.  The sigmas and each point's jets are
-scaled by powers of two first, so tiny fields do not underflow.  The
-spectra come from batched LAPACK ``eigvalsh`` calls, one per block of points.
+Covariances are built for all points at once, entry by entry: for an
+expansion kernel as ``sum_n sigma_n^2 J_i[n, g] J_l[n, g]`` over column
+slices ``J_i`` of the designs as :func:`grflab.field._design` built them,
+for a closed-form kernel from its derivative formulas.  The sigmas and each
+point's jets are scaled by powers of two first, so tiny fields do not
+underflow.  The spectra come from batched LAPACK ``eigvalsh`` calls.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import SamplePath, _blocks, jet_design
+from .field import SamplePath, _blocks, _dense, _design, eval_sample
 from .kernel import CovarianceKernel, KLKernel, eval_kernel_deriv_pairs
 from .linalg import eigvalsh
 from .multiindex import multi_indices
@@ -58,8 +58,8 @@ class JetCovariance:
 def jet_eval(path: SamplePath, p, r: int) -> Jet:
     """All partials of the path up to order ``r`` at ``p``, exactly."""
     pt = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    values = path.coeffs @ jet_design(path.field, pt.reshape(1, -1), r)[:, 0, :]
-    return Jet(tuple(pt), r, values)
+    per_alpha = [eval_sample(path, pt, a) for a in multi_indices(path.field.m, r)]
+    return Jet(tuple(pt), r, np.stack(per_alpha, axis=1).ravel())
 
 
 def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int):
@@ -70,13 +70,18 @@ def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int):
     so entries that would be subnormal keep their bits and ratios.
     """
     if isinstance(K, KLKernel):
-        J = jet_design(K.field, pts, r)
-        sig = K.field.sigma_array
-        _, e_sig = np.frexp(sig.max(initial=0.0))
-        _, e_pts = np.frexp(np.abs(J).max(axis=0, initial=0.0).max(axis=1))
-        sig = np.ldexp(sig, -e_sig)
-        J = np.ldexp(J, -e_pts[None, :, None])
-        cov = np.einsum("n,ngi,ngj->gij", sig ** 2, J, J)
+        designs = [_design(K.field, pts, a) for a in multi_indices(K.m, r)]
+        jets = [d[:, c::K.k] for c in range(K.k) for d in designs]  # component-major
+        top = np.zeros(pts.shape[0])
+        for J in jets if K.field.size else ():  # no terms: every maximum is 0
+            top = np.maximum(top, _dense(abs(J).max(axis=0)))
+        _, e_pts = np.frexp(top)
+        # 2**-e_pts overflows below a top entry of 2**-1023: scale up in two exact steps
+        up = np.minimum(-e_pts, 1023)
+        jets = [J * np.ldexp(1.0, up) * np.ldexp(1.0, -e_pts - up) for J in jets]
+        _, e_sig = np.frexp(K.field.sigma_array.max(initial=0.0))
+        w = np.ldexp(K.field.sigma_array, -e_sig)[:, None] ** 2
+        cov = np.array([[(w * J * L).sum(axis=0) for L in jets] for J in jets]).transpose(2, 0, 1)
         exponents = 2 * (e_sig + e_pts)
     else:
         alphas = multi_indices(K.m, r)

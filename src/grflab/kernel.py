@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import Box, grid_points
-from .field import KLField, _blocks, box_design, design_at_points
+from .field import KLField, _blocks, _dense, _design, box_design
 from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
@@ -105,6 +105,15 @@ def _point(p, m: int) -> np.ndarray:
     return a
 
 
+def points_array(points, m: int) -> np.ndarray:
+    """(n, m) points, or for m = 1 a flat list of n scalars; any other shape is refused."""
+    pts = np.asarray(points, dtype=np.float64)
+    pts = pts.reshape(-1, 1) if m == 1 and pts.ndim == 1 else pts
+    if pts.ndim != 2 or pts.shape[1] != m:
+        raise ValueError(f"points of shape {pts.shape} do not match dimension {m}")
+    return pts
+
+
 def eval_kernel(K: CovarianceKernel, p, q) -> np.ndarray:
     """K(p, q) as a (k, k) matrix."""
     zero = (0,) * K.m
@@ -132,17 +141,15 @@ def eval_kernel_deriv_pairs(K: CovarianceKernel, X: np.ndarray, Y: np.ndarray,
         dot = np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
         return _closed_form_values(K, X, Y, dot, a, b).reshape(-1, 1, 1)
     field, k = K.field, K.k
-    out = np.zeros((X.shape[0], k, k))
-    if field.size == 0:
-        return out
+    out = np.empty((X.shape[0], k, k))
     w = field.sigma_array ** 2
     for rows in _blocks(X.shape[0], field.size * k * k):
-        fp = design_at_points(field, X[rows], a).reshape(field.size, -1, k)
-        fq = design_at_points(field, Y[rows], b).reshape(field.size, -1, k)
-        # per-term outer products first: commutativity then makes the
-        # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
-        prod = fp[:, :, :, None] * fq[:, :, None, :]
-        out[rows] = np.tensordot(w, prod, axes=(0, 0))
+        fp = _design(field, X[rows], a)
+        fq = _design(field, Y[rows], b)
+        for j, l in np.ndindex(k, k):
+            # per-term products first: commutativity then makes the
+            # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
+            out[rows, j, l] = w @ (fp[:, j::k] * fq[:, l::k])
     return out
 
 
@@ -295,16 +302,12 @@ def _callable_fn(K):
     return lambda p, q: np.atleast_2d(np.asarray(K(p, q), dtype=np.float64))
 
 
-def _is_kernel(K) -> bool:
-    return isinstance(K, (KLKernel, ClosedFormKernel))
-
-
 def check_symmetry(K, point_pairs, tol: float = 1e-12) -> SymmetryReport:
     """Worst entrywise violation of K(p,q) = K(q,p)^T over the given pairs.
 
     Covariance kernels are evaluated in one batch over all pairs.
     """
-    if _is_kernel(K):
+    if isinstance(K, CovarianceKernel):
         pairs = np.asarray(point_pairs, dtype=np.float64)
         if pairs.size and pairs.shape[1:] != (2, K.m):
             raise ValueError(f"need (n, 2, {K.m}) point pairs, got shape {pairs.shape}")
@@ -322,21 +325,12 @@ def check_symmetry(K, point_pairs, tol: float = 1e-12) -> SymmetryReport:
 def _gram(K, pts: np.ndarray) -> np.ndarray:
     """(n k, n k) Gram matrix K(p_i, p_j), point-major like design columns."""
     if isinstance(K, KLKernel):
-        scaled = K.field.sigma_array[:, None] * design_at_points(K.field, pts, (0,) * K.m)
-        return scaled.T @ scaled
+        scaled = K.field.sigma_array[:, None] * _design(K.field, pts, (0,) * K.m)
+        return _dense(scaled.T @ scaled)
     if isinstance(K, ClosedFormKernel):
         return _closed_form_block(K, pts, pts, (0,) * K.m, (0,) * K.m)
     fn = _callable_fn(K)
-    n = pts.shape[0]
-    k = fn(pts[0], pts[0]).shape[0]
-    gram = np.empty((n * k, n * k))
-    for i in range(n):
-        for j in range(i, n):
-            block = fn(pts[i], pts[j])
-            gram[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
-            if j > i:
-                gram[j * k:(j + 1) * k, i * k:(i + 1) * k] = block.T
-    return gram
+    return np.block([[fn(p, q) for q in pts] for p in pts])
 
 
 def check_psd(K, points, tol: float | None = None) -> PsdReport:
@@ -346,9 +340,8 @@ def check_psd(K, points, tol: float | None = None) -> PsdReport:
     tolerance is relative: 1e-9 times the largest diagonal entry, absorbing
     round-off from the Gram assembly.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if _is_kernel(K) and pts.shape[1] != K.m:
-        pts = pts.reshape(-1, K.m)
+    pts = (points_array(points, K.m) if isinstance(K, CovarianceKernel)
+           else np.atleast_2d(np.asarray(points, dtype=np.float64)))
     gram = _gram(K, pts)
     gram = 0.5 * (gram + gram.T)
     min_eig, _ = eig_bounds(gram)

@@ -79,10 +79,10 @@ def test_criterion_3_covariance_identity():
     coeffs = sample_batch_coeffs(field, 0, np.arange(n))
     worst_z = 0.0
     for p, q in (([0.2], [0.7]), ([0.1], [0.1]), ([0.9], [0.4])):
-        from grflab.field import design_at_points
+        from grflab.field import _design, apply_design
 
-        vp = (coeffs @ design_at_points(field, np.array([p]), (0,)))[:, 0]
-        vq = (coeffs @ design_at_points(field, np.array([q]), (0,)))[:, 0]
+        vp = apply_design(coeffs, _design(field, np.array([p]), (0,)))[:, 0]
+        vq = apply_design(coeffs, _design(field, np.array([q]), (0,)))[:, 0]
         prod = vp * vq
         se = prod.std(ddof=1) / math.sqrt(n)
         z = abs(prod.mean() - eval_kernel(K, p, q)[0, 0]) / se

@@ -98,6 +98,28 @@ def test_validate_command(capsys):
     assert run(["validate", "--field", FIELD_AFFINE, "--tol", "-1.0"]) == 2
 
 
+FIELD_HARMONIC_2D = json.dumps({
+    "m": 2, "k": 1,
+    "basis": [{"type": "harmonic", "frequency": [1.0, 2.0], "phase": 0.3,
+               "amplitude": [1.0]}],
+})
+
+
+def test_validate_refuses_points_of_the_wrong_dimension(capsys):
+    # four 1-D points on a 2-D field must not be read as two 2-D points
+    argv = ["validate", "--field", FIELD_HARMONIC_2D, "--points", "[[0.1],[0.2],[0.3],[0.4]]"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("grflab: error: points of shape (4, 1) "
+                            "do not match dimension 2\n")
+    # m = 1 still takes a flat list of scalars, like the same points as rows
+    assert run(["validate", "--field", FIELD_AFFINE, "--points", "[0.1, 0.5, 0.9]"]) == 0
+    flat = json.loads(capsys.readouterr().out)
+    assert run(["validate", "--field", FIELD_AFFINE, "--points", "[[0.1], [0.5], [0.9]]"]) == 0
+    assert json.loads(capsys.readouterr().out) == flat and flat["n_points"] == 3
+
+
 def test_schema_error_exit_and_pointer(capsys):
     bad = json.dumps({"m": 1, "k": 1, "basis": [], "bogus": True})
     assert run(["estimate", "--field", bad, "--event", EVENT_SUP]) == 1

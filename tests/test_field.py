@@ -9,10 +9,14 @@ import scipy.sparse as sp
 from grflab import (Bump, Harmonic, IllConditionedError, Monomial, OrderUnsupportedError,
                     RandomStream, SamplePath, Scaled, cm_inner, eval_kernel, eval_sample,
                     grid_points, kernel_of, kl_field, projection_residual,
-                    sample, sample_seminorm, support_basis, unit_interval)
+                    sample, sample_seminorm, scan_nondegeneracy, support_basis,
+                    unit_interval)
+import grflab.field
 from grflab import counterexample as cx
-from grflab.field import (_design, batch_seminorms, box_design, design_at_points,
-                          jet_design, sample_batch_coeffs)
+from grflab.field import (_design, apply_design, batch_seminorms, box_design,
+                          sample_batch_coeffs)
+from grflab.jet import _jet_covariances
+from grflab.kernel import check_psd, eval_kernel_deriv_pairs
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -161,8 +165,8 @@ def test_empirical_covariance_matches_kernel():
     for seed in (0, 1, 2):
         coeffs = sample_batch_coeffs(f, seed, np.arange(n))
         for p, q in pairs:
-            vp = (coeffs @ design_at_points(f, np.array([p]), (0,)))[:, 0]
-            vq = (coeffs @ design_at_points(f, np.array([q]), (0,)))[:, 0]
+            vp = apply_design(coeffs, _design(f, np.array([p]), (0,)))[:, 0]
+            vq = apply_design(coeffs, _design(f, np.array([q]), (0,)))[:, 0]
             prod = vp * vq
             se = prod.std(ddof=1) / math.sqrt(n)
             want = eval_kernel(K, p, q)[0, 0]
@@ -208,20 +212,6 @@ def test_equal_fields_share_design_cache_entries():
     hits = box_design.cache_info().hits
     assert box_design(g, b, (1,)) is first
     assert box_design.cache_info().hits == hits + 1
-
-
-def test_jet_design_layout(rng_np):
-    basis = [Monomial((2, 1), (1.0, -0.5)), Harmonic((1.0, 2.0), 0.3, (0.5, 1.0)),
-             Bump((0.2, 0.1), 0.9, (0.7, 0.2))]
-    f = kl_field(basis)
-    pts = rng_np.uniform(-0.5, 0.5, (5, 2))
-    alphas = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-    J = jet_design(f, pts, 2)
-    assert J.shape == (3, 5, 2 * len(alphas))
-    for n, bf in enumerate(basis):
-        for g, p in enumerate(pts):
-            for ai, a in enumerate(alphas):
-                assert np.array_equal(J[n, g, [ai, len(alphas) + ai]], bf.eval_partial(p, a))
 
 
 def _per_function_design(field, pts, a):
@@ -285,6 +275,84 @@ def test_windowed_design_at_any_points(case, a):
     assert isinstance(design, sp.csr_array)
     assert np.all(design.data != 0.0)
     assert np.array_equal(design.toarray(), _per_function_design(field, pts, (a,)))
+
+
+@pytest.fixture
+def no_densification(monkeypatch):
+    """Make every scipy.sparse ``toarray`` and ``todense`` raise."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a sparse design was densified")
+
+    types = [t for t in vars(sp).values()
+             if isinstance(t, type) and t.__name__.endswith(("_array", "_matrix"))]
+    for owner in {c for t in types for c in t.__mro__}:
+        for name in ("toarray", "todense"):
+            if name in vars(owner):
+                monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(AssertionError):
+        sp.csr_array(np.eye(2)).todense()
+
+
+def _native_and_dense(field, fn):
+    """``fn(field)`` on the windowed design, then on the per-function dense one."""
+    assert isinstance(_design(field, np.zeros((1, 1)), (0,)), sp.csr_array)
+    native = fn(field)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grflab.field, "_bump_windows", lambda f: None)
+        assert isinstance(_design(field, np.zeros((1, 1)), (0,)), np.ndarray)
+        return native, fn(field)
+
+
+def _windowed_consumers(field):
+    """Jet covariances and scan, kernel pairs, PSD check and a support basis."""
+    b = unit_interval(96)
+    pts = grid_points(b)
+    K = kernel_of(field)
+    X = np.concatenate([pts, [[-0.3], [0.5]]])
+    Y = np.concatenate([pts + 0.004, [[0.5], [1.7]]])
+    cov, exponents = _jet_covariances(K, pts, 2)
+    psd = check_psd(K, pts[::3])
+    return {
+        "jet_cov": np.ldexp(cov, exponents[:, None, None]),
+        "scan": scan_nondegeneracy(K, b, 1),
+        "pairs": np.stack([eval_kernel_deriv_pairs(K, X, Y, (a,), (c,))
+                           for a in range(3) for c in range(3)]),
+        "pairs_swapped": np.stack([eval_kernel_deriv_pairs(K, Y, X, (c,), (a,))
+                                   for a in range(3) for c in range(3)]),
+        "psd": np.array([psd.min_eigenvalue, psd.tolerance]),
+        "support": np.stack([support_basis(field, p, 0).coeffs for p in pts[::7]]),
+    }
+
+
+def test_consumers_read_the_windowed_design_without_densifying(no_densification):
+    """Bit for bit against the dense per-function design on disjoint bumps,
+    to 1e-12 relative on overlapping and scaled ones; kernel pairs are
+    exactly symmetric in either form."""
+    disjoint = cx.build_X_n(cx.config(4))
+    native, dense = _native_and_dense(disjoint, _windowed_consumers)
+    assert native["scan"] == dense["scan"]
+    for key in ("jet_cov", "pairs", "psd", "support"):
+        assert np.array_equal(native[key], dense[key]), key
+    h = 1.0 / 96
+    overlapping = kl_field([
+        Bump((0.3,), 0.1, (1.0,)),
+        Bump((0.35,), 0.2, (-0.7,)),
+        Scaled(Bump((0.6,), 0.05, (1.3,)), 0.37),
+        Scaled(Scaled(Bump((0.81,), 0.13, (0.9,)), -1.7), 0.6),
+        Bump((0.5,), 0.4 * h, (2.0,)),
+        Bump((-0.05,), 0.1, (0.4,)),
+        Bump((0.5,), 0.6, (0.8,)),
+    ], [0.5 + 0.1 * i for i in range(7)])
+    native, dense = _native_and_dense(overlapping, _windowed_consumers)
+    for key in ("jet_cov", "pairs", "support"):
+        scale = np.abs(dense[key]).max()
+        assert np.max(np.abs(native[key] - dense[key])) <= 1e-12 * scale, key
+    # the tolerance is 1e-9 of the Gram matrix's largest diagonal entry
+    assert np.all(np.abs(native["psd"] - dense["psd"]) <= 1e-3 * dense["psd"][1])
+    assert native["scan"].n_failures == dense["scan"].n_failures
+    assert native["scan"].worst_point == dense["scan"].worst_point
+    for case in (native, dense):
+        assert np.array_equal(case["pairs"], case["pairs_swapped"].transpose(0, 1, 3, 2))
 
 
 def test_counterexample_path_is_windowed_on_the_integration_grid():

@@ -8,7 +8,7 @@ from grflab import (Bump, Harmonic, Monomial, SamplePath, Scaled, jet_covariance
                     unit_interval)
 from grflab.basis import box, grid_points
 from grflab.kernel import eval_kernel_deriv
-from grflab.field import sample_batch_coeffs, design_at_points
+from grflab.field import _design, apply_design, sample_batch_coeffs
 from grflab.multiindex import multi_indices
 
 ONE = Monomial((0,), (1.0,))
@@ -33,6 +33,24 @@ def test_jet_eval_examples():
     assert np.array_equal(jet_eval(sq, [1.0], 2).values, [1.0, 2.0, 2.0])
     zero = SamplePath(f, np.zeros(3))
     assert np.array_equal(jet_eval(zero, [0.5], 2).values, np.zeros(3))
+
+
+def test_jet_eval_layout(rng_np):
+    """Values are component-major, then graded-lex in alpha, and equal to
+    eval_partial of the one basis function a unit coefficient selects."""
+    basis = [Monomial((2, 1), (1.0, -0.5)), Harmonic((1.0, 2.0), 0.3, (0.5, 1.0)),
+             Bump((0.2, 0.1), 0.9, (0.7, 0.2))]
+    f = kl_field(basis)
+    pts = rng_np.uniform(-0.5, 0.5, (5, 2))
+    alphas = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert multi_indices(2, 2) == alphas
+    for n, bf in enumerate(basis):
+        path = SamplePath(f, np.eye(len(basis))[n])
+        for p in pts:
+            jet = jet_eval(path, p, 2)
+            assert jet.values.shape == (2 * len(alphas),)
+            for ai, a in enumerate(alphas):
+                assert np.array_equal(jet.values[[ai, len(alphas) + ai]], bf.eval_partial(p, a))
 
 
 def test_jet_covariance_examples():
@@ -136,7 +154,7 @@ def test_empirical_jet_covariance_matches():
     n = 100_000
     coeffs = sample_batch_coeffs(f, 0, np.arange(n))
     alphas = multi_indices(1, r)
-    cols = [coeffs @ design_at_points(f, p.reshape(1, 1), a)[:, 0] for a in alphas]
+    cols = [apply_design(coeffs, _design(f, p.reshape(1, 1), a))[:, 0] for a in alphas]
     jets = np.stack(cols, axis=1)
     emp = jets.T @ jets / n
     want = jet_covariance(K, p, r).matrix
@@ -149,9 +167,9 @@ def test_empirical_jet_covariance_matches():
 
 # -- batched scan against a per-point reference ------------------------------
 
-def _basis_function(draw, m, k):
+def _basis_function(draw, m, k, kinds):
     amp = tuple(draw(st.floats(-1.5, 1.5)) for _ in range(k))
-    kind = draw(st.sampled_from(["harmonic", "monomial", "bump"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "harmonic":
         return Harmonic(tuple(draw(st.floats(-4.0, 4.0)) for _ in range(m)),
                         draw(st.floats(0.0, 6.3)), amp)
@@ -167,7 +185,10 @@ def jet_cases(draw):
     k = draw(st.integers(1, 2))
     r = draw(st.integers(0, 2))
     n = draw(st.integers(1, 6))
-    basis = [_basis_function(draw, m, k) for _ in range(n)]
+    # all-bump fields with m = k = 1 take the windowed design
+    bumps_only = m == k == 1 and draw(st.booleans())
+    kinds = ["bump"] if bumps_only else ["harmonic", "monomial", "bump"]
+    basis = [_basis_function(draw, m, k, kinds) for _ in range(n)]
     sigmas = [draw(st.floats(0.3, 1.5)) for _ in range(n)]
     res = draw(st.integers(1, 8 if m == 1 else 3))
     return kl_field(basis, sigmas, m=m, k=k), box([0.0] * m, [1.0] * m, res), r
@@ -212,6 +233,9 @@ def _reference_ratios(field, b, r):
           box(0, 1, 1), 1))
 @example((kl_field([Bump((0.0,), 1.1759158865445831, (6.669072560330203e-159,))],
                    (0.3046875,)), box(0, 1, 1), 2))
+# subnormal amplitudes on the windowed path: 2**-exponent overflows in one step
+@example((kl_field([Bump((0.0,), 1.0, (1e-310,)), Bump((0.5,), 0.8, (-3e-312,))], (1.0, 1.2)),
+          box(0, 1, 4), 1))
 def test_batched_scan_matches_per_point_reference(case):
     """Ratios agree to 1e-9 relative, with a 1e-13 absolute floor for the
     round-off-level ratios of rank-deficient jets.  The worst point must be

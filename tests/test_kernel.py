@@ -166,6 +166,18 @@ def test_check_psd():
     assert rep.passed and abs(rep.min_eigenvalue - w[0]) <= 1e-12 * w[-1]
 
 
+def test_check_psd_refuses_points_of_the_wrong_dimension():
+    K2 = kernel_of(kl_field([Harmonic((1.0, 2.0), 0.3, (1.0,))]))
+    for points in ([[0.1], [0.2], [0.3], [0.4]], [0.1, 0.2], np.zeros((2, 3)),
+                   np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="do not match dimension 2"):
+            check_psd(K2, points)
+    with pytest.raises(ValueError, match="do not match dimension 1"):
+        check_psd(ClosedFormKernel("dot"), [[0.1, 0.2]])
+    K1 = kernel_of(mixed_field())
+    assert check_psd(K1, [0.1, 0.5, 0.9]) == check_psd(K1, [[0.1], [0.5], [0.9]])
+
+
 def test_gram_rank_bounded_by_expansion_size():
     f = mixed_field()
     K = kernel_of(f)
