@@ -26,8 +26,8 @@ from .basis import box, grid_points, unit_interval
 from .exceptions import GrflabError, SchemaError
 from .field import apply_design, box_design, sample_batch_coeffs
 from .jet import scan_nondegeneracy
-from .kernel import (KernelSeminormSpec, check_psd, check_symmetry, eval_kernel,
-                     kernel_of, kernel_seminorm, points_array)
+from .kernel import (KLKernel, KernelSeminormSpec, check_psd, check_symmetry,
+                     eval_kernel, kernel_of, kernel_seminorm, points_array)
 from .mc import estimate_probability, gaussian_ratio, limit_study
 from .serialize import (box_from_dict, event_from_dict, field_digest,
                         field_from_dict, kernel_from_dict, validate_document)
@@ -62,33 +62,30 @@ def _reject_constant(name: str):
     raise SchemaError(f"not valid JSON (non-finite number {name})")
 
 
+def _is_point(p) -> bool:
+    """A JSON number or a list of them; true and false are not numbers here."""
+    return all(type(x) in (int, float) for x in (p if isinstance(p, list) else [p]))
+
+
 def _field_from_arg(value: str):
     doc = _load_json_arg(value)
     return field_from_dict(doc)
 
 
 def _kernel_from_args(args):
-    if getattr(args, "kernel", None):
+    if args.kernel:
         return kernel_from_dict(_load_json_arg(args.kernel))
     return kernel_of(_field_from_arg(args.field))
 
 
 def _box_from_args(args, m: int):
-    if getattr(args, "box", None):
+    if args.box:
         return box_from_dict(_load_json_arg(args.box))
-    if m == 1:
-        return unit_interval()
     return box([0.0] * m, [1.0] * m)
 
 
-def _digest_of(obj) -> str | None:
-    from .kernel import KLKernel
-
-    if isinstance(obj, KLKernel):
-        return field_digest(obj.field)
-    if hasattr(obj, "basis"):
-        return field_digest(obj)
-    return None
+def _digest_of(K) -> str | None:
+    return field_digest(K.field) if isinstance(K, KLKernel) else None
 
 
 def _estimate_dict(est) -> dict:
@@ -106,11 +103,11 @@ def _write_report(report: dict, rows: list[dict], args) -> None:
             writer.writeheader()
             writer.writerows(rows)
         payload = buf.getvalue()
-    if args.output is None or args.output == "-":
+    if args.output == "-":
         sys.stdout.write(payload)
         return
     target = Path(args.output)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=str(target.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
@@ -229,6 +226,8 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args):
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     field = _field_from_arg(args.field)
     b = _box_from_args(args, field.m)
     pts = grid_points(b)
@@ -258,11 +257,15 @@ def _cmd_sample(args):
 def _cmd_covariance(args):
     K = _kernel_from_args(args)
     pairs = _load_json_arg(args.points)
+    if not (isinstance(pairs, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_point, pair))
+            for pair in pairs)):
+        raise ValueError("--points must be a JSON list of [p, q] point pairs")
     rows = []
     results = []
     for p, q in pairs:
         val = eval_kernel(K, p, q)
-        results.append({"p": list(np.atleast_1d(p)), "q": list(np.atleast_1d(q)),
+        results.append({"p": np.atleast_1d(p).tolist(), "q": np.atleast_1d(q).tolist(),
                         "K": val.tolist()})
         row = {"p": json.dumps(p), "q": json.dumps(q)}
         for j in range(val.shape[0]):
@@ -335,14 +338,14 @@ def _cmd_limit_study(args):
     limit_field = field_from_dict(doc["limit_field"], validated=True)
     event = event_from_dict(doc["event"], validated=True)
     b = box_from_dict(doc["box"], validated=True)
-    rows_out = limit_study(fields, limit_field, event, b, doc["r"],
-                           args.samples, args.seed,
-                           distance_order=doc.get("distance_order"))
-    results = [{"label": r.label, "kernel_distance": r.kernel_distance,
-                "is_limit": r.is_limit, **_estimate_dict(r.estimate)}
-               for r in rows_out]
-    report = {"command": "limit-study", "r": doc["r"],
-              "distance_order": doc.get("distance_order", doc["r"] + 2),
+    r = int(doc["r"])
+    order = int(doc.get("distance_order", r + 2))
+    rows_out = limit_study(fields, limit_field, event, b, r, args.samples, args.seed,
+                           distance_order=order)
+    results = [{"label": row.label, "kernel_distance": row.kernel_distance,
+                "is_limit": row.is_limit, **_estimate_dict(row.estimate)}
+               for row in rows_out]
+    report = {"command": "limit-study", "r": r, "distance_order": order,
               "results": results}
     return report, results, 0
 
@@ -368,6 +371,8 @@ def _cmd_counterexample(args):
 
 
 def _cmd_validate(args):
+    if args.max_points < 1:
+        raise ValueError("--max-points must be >= 1")
     K = _kernel_from_args(args)
     if args.points:
         pts = points_array(_load_json_arg(args.points), K.m)

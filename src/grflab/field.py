@@ -221,6 +221,19 @@ def box_design(field: KLField, b: Box, alpha: MultiIndex):
     return design
 
 
+def _stacked(designs, transpose: bool = False):
+    """The designs stacked vertically, or that stack transposed; sparse when any design is.
+
+    Row blocks of the result slice cheaply: a sparse stack to be transposed
+    is built column-major, any other row-major.
+    """
+    if any(sp.issparse(d) for d in designs):
+        stack = sp.vstack(designs, format="csc" if transpose else "csr")
+    else:
+        stack = np.vstack(designs)
+    return stack.T if transpose else stack
+
+
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:
     """Path values at the design's points for a batch of coefficient rows: (S, G*k)."""
     return coeffs @ design
@@ -309,9 +322,9 @@ def projection_residual(field: KLField, g, b: Box) -> float:
 
     ``g`` may be a :class:`SamplePath`, a :class:`SupportBasisFunction`, or a
     callable point -> (k,) vector.  The normal equations are solved through
-    the LAPACK eigensolver with a pseudo-inverse cutoff; a Gram condition
-    estimate above 1e12 raises :class:`IllConditionedError` (report, don't
-    guess).
+    the LAPACK eigensolver; a Gram condition estimate above 1e12 raises
+    :class:`IllConditionedError` (report, don't guess), so every accepted
+    eigenvalue is inverted.
     """
     pts = grid_points(b)
     if isinstance(g, SupportBasisFunction):

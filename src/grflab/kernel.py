@@ -30,10 +30,9 @@ from itertools import combinations_with_replacement
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import Box, grid_points
-from .field import KLField, _blocks, _dense, _design, box_design
+from .field import KLField, _blocks, _dense, _design, _stacked, box_design
 from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
@@ -98,13 +97,6 @@ class KernelSeminormSpec:
 # pointwise evaluation
 # ---------------------------------------------------------------------------
 
-def _point(p, m: int) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if a.shape != (m,):
-        raise ValueError(f"point shape {a.shape} does not match dimension {m}")
-    return a
-
-
 def points_array(points, m: int) -> np.ndarray:
     """(n, m) points, or for m = 1 a flat list of n scalars; any other shape is refused."""
     pts = np.asarray(points, dtype=np.float64)
@@ -122,9 +114,8 @@ def eval_kernel(K: CovarianceKernel, p, q) -> np.ndarray:
 
 def eval_kernel_deriv(K: CovarianceKernel, p, q, alpha, beta) -> np.ndarray:
     """Mixed partial d_alpha (in p) d_beta (in q) of K, as a (k, k) matrix."""
-    pt = _point(p, K.m).reshape(1, -1)
-    qt = _point(q, K.m).reshape(1, -1)
-    return eval_kernel_deriv_pairs(K, pt, qt, alpha, beta)[0]
+    return eval_kernel_deriv_pairs(K, points_array([p], K.m), points_array([q], K.m),
+                                   alpha, beta)[0]
 
 
 def eval_kernel_deriv_pairs(K: CovarianceKernel, X: np.ndarray, Y: np.ndarray,
@@ -224,14 +215,7 @@ def kernel_seminorm(K: CovarianceKernel, spec: KernelSeminormSpec) -> float:
     else:
         pts = grid_points(spec.box)
         diags = [eval_kernel_deriv_pairs(K, pts, pts, a, a) for a in alphas]
-    return max((float(d.max()) for d in diags if d.size), default=0.0)
-
-
-def _stacked(parts, fmt: str):
-    """The parts stacked vertically; sparse in format ``fmt`` when any part is."""
-    if any(sp.issparse(p) for p in parts):
-        return sp.vstack(parts, format=fmt)
-    return np.vstack(parts)
+    return max(float(d.max()) for d in diags)
 
 
 def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
@@ -258,10 +242,9 @@ def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
           if isinstance(K, KLKernel)]
     closed = [(c, K) for c, K in signed if isinstance(K, ClosedFormKernel)]
     # the KL part is one product per block:
-    # [s1_a; s2_a]^T [s1_b; -s2_b] = s1_a^T s1_b - s2_a^T s2_b; a sparse left
-    # side is kept transposed as CSR, so its row blocks slice cheaply
-    left = {a: _stacked([d[a] for _, d in kl], "csc").T for a in alphas} if kl else {}
-    right = {a: _stacked([c * d[a] for c, d in kl], "csr") for a in alphas} if kl else {}
+    # [s1_a; s2_a]^T [s1_b; -s2_b] = s1_a^T s1_b - s2_a^T s2_b
+    left = {a: _stacked([d[a] for _, d in kl], transpose=True) for a in alphas} if kl else {}
+    right = {a: _stacked([c * d[a] for c, d in kl]) for a in alphas} if kl else {}
     side = spec.box.n_grid_points * K1.k
     best = 0.0
     for a, b in combinations_with_replacement(alphas, 2):
@@ -270,9 +253,8 @@ def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
             for c, K in closed:
                 block = block + c * _closed_form_block(K, pts[rows], pts, a, b)
             # max |entry| without an abs temporary; a sparse block's max and
-            # min count its implicit zeros
-            if block.size:
-                best = max(best, float(block.max()), -float(block.min()))
+            # min count its implicit zeros, also when it stores none
+            best = max(best, float(block.max()), -float(block.min()))
     return best
 
 

@@ -1,4 +1,4 @@
-"""Symmetric eigensolves and guarded pseudo-inverse solves on LAPACK.
+"""Symmetric eigensolves and condition-guarded PSD solves on LAPACK.
 
 :func:`eigh` and :func:`eigvalsh` are thin checked wrappers over
 ``numpy.linalg.eigh`` / ``eigvalsh`` (LAPACK ``syevd``).  Both accept a
@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import IllConditionedError
+
+_COND_LIMIT = 1e12
 
 
 def _checked(A) -> np.ndarray:
@@ -47,26 +49,22 @@ def eig_bounds(A: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def solve_psd_pinv(A: np.ndarray, b: np.ndarray, cond_limit: float = 1e12,
-                   cutoff_rel: float = 1e-12) -> np.ndarray:
+def solve_psd_pinv(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` for symmetric PSD ``A`` through its eigensystem.
 
-    Eigenvalues below ``cutoff_rel * max_eig`` are treated as exact zeros
-    (pseudo-inverse).  If the full-spectrum condition estimate
-    ``max_eig / min_eig`` exceeds ``cond_limit`` the solve is refused with
-    :class:`IllConditionedError`: the caller gets a report instead of a
-    guess.
+    If the full-spectrum condition estimate ``max_eig / min_eig`` exceeds
+    1e12 the solve is refused with :class:`IllConditionedError`: the caller
+    gets a report instead of a guess.  Every eigenvalue of an accepted
+    matrix is positive, so the solve inverts each of them.
     """
     w, V = eigh(A)
     if w.size == 0:
         return np.zeros_like(np.asarray(b, dtype=np.float64))
     wmax = float(w[-1])
     wmin = float(w[0])
-    if wmax <= 0.0:
-        raise IllConditionedError("matrix is zero or not positive semidefinite")
+    # a zero or indefinite matrix has wmin <= 0, so an infinite condition
     cond = np.inf if wmin <= 0.0 else wmax / wmin
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise IllConditionedError(
-            f"condition estimate {cond:.3e} exceeds limit {cond_limit:.1e}")
-    inv = np.where(w > cutoff_rel * wmax, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    return V @ (inv * (V.T @ np.asarray(b, dtype=np.float64)))
+            f"condition estimate {cond:.3e} exceeds limit {_COND_LIMIT:.1e}")
+    return V @ ((1.0 / w) * (V.T @ np.asarray(b, dtype=np.float64)))

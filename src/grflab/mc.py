@@ -89,11 +89,12 @@ def _zero_count_rows(vals: np.ndarray) -> np.ndarray:
 
     A value that is neither zero nor positive (nan included) is negative.
     """
-    neg = ~(vals >= 0.0)
-    pos = vals > 0.0
-    return (np.count_nonzero(vals == 0.0, axis=1)
-            + np.count_nonzero((neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:]),
-                               axis=1))
+    # one int8 array of signs +1, 0, -1: nan >= 0 is False, so nan gets -1
+    sign = (vals > 0.0).view(np.int8)
+    sign += vals >= 0.0
+    sign -= 1
+    return (np.count_nonzero(sign == 0, axis=1)
+            + np.count_nonzero(sign[:, :-1] * sign[:, 1:] < 0, axis=1))
 
 
 def _indicator_batch(event: EventSpec, field: KLField, coeffs: np.ndarray) -> np.ndarray:
@@ -148,11 +149,8 @@ def _indicator_estimate(count: int, n: int, seed: int) -> MCEstimate:
 def _mean_estimate(values: np.ndarray, seed: int) -> MCEstimate:
     n = values.shape[0]
     mean = math.fsum(values) / n
-    if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    se = math.sqrt(var / n)
     return MCEstimate(mean, se, n, seed, (mean - 1.96 * se, mean + 1.96 * se))
 
 

@@ -18,8 +18,8 @@ Normals are ``scipy.special.ndtri`` (the inverse normal CDF) of these
 uniforms, with no Acklam initializer or Newton step on top, and never come
 from rejection or polar methods, so the n-th normal of a stream is a fixed
 function of (seed, index, n) and the draw count per sample never varies.
-Scalar and array quantiles go through the same ``ndtri`` and agree bit for
-bit.
+Scalars and arrays take the same path through ``ndtri`` and ``erfc``, so
+they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec, ndtri
+from scipy.special import erfc, ndtri
 
 from .exceptions import DomainError
 
@@ -69,28 +69,22 @@ def uniform_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
 def normal_cdf(x):
     """Standard normal CDF.
 
-    Evaluated as ``0.5 * erfc(-x / sqrt(2))``, which is accurate to a few
-    ulp over the whole real line (no cancellation in either tail); erfc is
-    delegated to the platform math library / scipy.
+    Evaluated as ``0.5 * erfc(-x / sqrt(2))`` with ``scipy.special.erfc``,
+    which is accurate to a few ulp over the whole real line (no
+    cancellation in either tail), for a scalar or an array alike.
     """
-    if isinstance(x, np.ndarray):
-        return 0.5 * _erfc_vec(-x * _INV_SQRT2)
-    return 0.5 * math.erfc(-float(x) * _INV_SQRT2)
+    return 0.5 * erfc(-np.asarray(x, dtype=np.float64) * _INV_SQRT2)
 
 
 def normal_quantile(u):
-    """Inverse standard normal CDF (``scipy.special.ndtri``).
+    """Inverse standard normal CDF (``scipy.special.ndtri``) of a scalar or an array.
 
     Raises :class:`DomainError` unless all arguments lie strictly in (0, 1).
     """
-    if isinstance(u, np.ndarray):
-        if u.size and (not np.all(u > 0.0) or not np.all(u < 1.0)):
-            raise DomainError("quantile argument must lie strictly in (0, 1)")
-        return ndtri(u.astype(np.float64))
-    uf = float(u)
-    if not 0.0 < uf < 1.0:
+    u = np.asarray(u, dtype=np.float64)
+    if not (np.all(u > 0.0) and np.all(u < 1.0)):
         raise DomainError("quantile argument must lie strictly in (0, 1)")
-    return float(ndtri(uf))
+    return ndtri(u)
 
 
 def normal_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:

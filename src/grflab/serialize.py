@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from collections.abc import Mapping, Sequence
 from importlib import resources
 
 from .basis import Box, BasisFunction, Bump, Harmonic, Monomial, Scaled, box
@@ -53,28 +52,13 @@ _ANNOTATIONS = frozenset({"$schema", "$id", "title"})
 _DEFS_PREFIX = "#/$defs/"
 
 
-def _json_equal(a, b) -> bool:
-    """Equality as jsonschema's ``const`` and ``enum`` apply it: True is not 1."""
-    if a is b:
-        return True
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    if isinstance(a, Sequence) and isinstance(b, Sequence):
-        return len(a) == len(b) and all(map(_json_equal, a, b))
-    if isinstance(a, Mapping) and isinstance(b, Mapping):
-        return len(a) == len(b) and all(
-            key in b and _json_equal(value, b[key]) for key, value in a.items())
-    if isinstance(a, bool) or isinstance(b, bool):
-        return False
-    return a == b
-
-
 def compile_schema(doc: dict) -> dict:
     """One predicate per ``$defs`` entry of ``doc``.
 
     A predicate returns True exactly when Draft 2020-12 validation, as
     jsonschema applies it, accepts the instance.  Only the keywords the
-    shipped schema uses are supported; any other raises ``ValueError``.
+    shipped schema uses are supported, and ``const`` and ``enum`` only with
+    string values; anything else raises ``ValueError``.
     """
     unknown = set(doc) - _ANNOTATIONS - {"$defs"}
     if unknown:
@@ -119,10 +103,11 @@ def compile_schema(doc: dict) -> dict:
             return lambda x: not _is_number(x) or not x < value
         if key == "exclusiveMinimum":
             return lambda x: not _is_number(x) or not x <= value
-        if key == "const":
-            return lambda x: _json_equal(x, value)
-        if key == "enum":
-            return lambda x: any(_json_equal(x, each) for each in value)
+        if key in ("const", "enum"):
+            allowed = (value,) if key == "const" else tuple(value)
+            if not all(isinstance(each, str) for each in allowed):
+                raise ValueError(f"unsupported non-string {key} {value!r}")
+            return lambda x: isinstance(x, str) and x in allowed
         if key == "$ref":
             return ref(value)
         if key == "properties":

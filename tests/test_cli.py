@@ -78,6 +78,10 @@ def test_covariance_command(capsys):
                 "--points", "[[[2.0], [3.0]]]"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"][0]["K"] == [[7.0]]
+    # integer coordinates are numbers too, not a failure to write the report
+    assert run(["covariance", "--kernel", kernel, "--points", "[[2, [3]]]"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"][0] == {"p": [2], "q": [3], "K": [[7.0]]}
 
 
 def test_sample_command(tmp_path):
@@ -118,6 +122,23 @@ def test_validate_refuses_points_of_the_wrong_dimension(capsys):
     flat = json.loads(capsys.readouterr().out)
     assert run(["validate", "--field", FIELD_AFFINE, "--points", "[[0.1], [0.5], [0.9]]"]) == 0
     assert json.loads(capsys.readouterr().out) == flat and flat["n_points"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--field", FIELD_AFFINE, "--max-points", "0"],
+    ["validate", "--field", FIELD_AFFINE, "--max-points", "-3"],
+    ["sample", "--field", FIELD_AFFINE, "--samples", "-2"],
+    ["covariance", "--field", FIELD_AFFINE, "--points", "5"],
+    ["covariance", "--field", FIELD_AFFINE, "--points", "[1, 2]"],
+    ["covariance", "--field", FIELD_AFFINE, "--points", "[[null, 0.5]]"],
+    ["covariance", "--field", FIELD_AFFINE, "--points", "[[{}, 0.5]]"],
+])
+def test_malformed_arguments_are_one_error_line(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grflab: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_schema_error_exit_and_pointer(capsys):
@@ -228,6 +249,25 @@ def test_limit_study_command(tmp_path, capsys):
     assert report["distance_order"] == 2
     assert len(report["results"]) == 2
     assert report["results"][-1]["is_limit"] is True
+
+
+@pytest.mark.parametrize("integral_floats", [{"r": 0.0}, {"r": 1.0, "distance_order": 1.0}])
+def test_limit_study_reads_integral_floats_as_integers(tmp_path, capsys, integral_floats):
+    # the schema calls 0.0 an integer; the report must be that of the integer config
+    reports = []
+    for numbers in ({key: int(value) for key, value in integral_floats.items()},
+                    integral_floats):
+        cfg = {"fields": [json.loads(FIELD_AFFINE)], "limit_field": json.loads(FIELD_T),
+               "event": json.loads(EVENT_SUP), "box": {"lower": [0.0], "upper": [1.0]},
+               **numbers}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["limit-study", "--config", str(path), "--samples", "200"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report["distance_order"] == integral_floats.get("distance_order", 2)
+    assert report["results"][0]["kernel_distance"] > 0.0
 
 
 def test_file_inputs(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,3 +403,21 @@ def test_small_bump_fields_are_windowed(n):
         assert np.array_equal(design.toarray(), dense)
         ref = np.maximum(ref, np.max(np.abs(coeffs @ dense), axis=1))
         assert np.array_equal(batch_seminorms(field, coeffs, b, a[0]), ref)
+
+
+def test_only_the_design_builder_imports_scipy_sparse():
+    # whether a design is sparse is decided, and known, in field.py alone
+    package = Path(grflab.field.__file__).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
+                   for name in names):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"field.py"}

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grflab import (Bump, Harmonic, Monomial, SamplePath, Scaled, jet_covariance,
-                    jet_dimension, jet_eval, kernel_of, kl_field,
-                    nondegeneracy_certificate, scan_nondegeneracy,
-                    unit_interval)
+from grflab import (Bump, ClosedFormKernel, Harmonic, Monomial, SamplePath, Scaled,
+                    jet_covariance, jet_dimension, jet_eval, kernel_of, kl_field,
+                    nondegeneracy_certificate, scan_nondegeneracy, unit_interval)
 from grflab.basis import box, grid_points
 from grflab.kernel import eval_kernel_deriv
 from grflab.field import _design, apply_design, sample_batch_coeffs
@@ -65,6 +64,18 @@ def test_jet_covariance_examples():
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
     K_zero = kernel_of(kl_field([], m=1, k=1))
     assert np.array_equal(jet_covariance(K_zero, [0.3], 2).matrix, np.zeros((3, 3)))
+
+
+def test_closed_form_jet_covariances():
+    for x in (-1.5, 0.0, 0.3, 2.0):
+        aff = jet_covariance(ClosedFormKernel("affine_dot"), [x], 1).matrix
+        assert np.array_equal(aff, [[1.0 + x * x, x], [x, 1.0]])
+        exp = jet_covariance(ClosedFormKernel("exp_dot"), [x], 1).matrix
+        want = np.exp(x * x) * np.array([[1.0, x], [x, 1.0 + x * x]])
+        assert np.allclose(exp, want, rtol=1e-15, atol=0.0)
+    # K(s, t) = s t: the order-1 jet (X, X') = xi (x, 1) has rank one everywhere
+    scan = scan_nondegeneracy(ClosedFormKernel("dot"), unit_interval(), 1)
+    assert not scan.all_pass and scan.n_failures == scan.n_points == 257
 
 
 def test_jet_covariance_equals_basis_jet_gram(rng_np):

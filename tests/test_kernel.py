@@ -166,6 +166,19 @@ def test_check_psd():
     assert rep.passed and abs(rep.min_eigenvalue - w[0]) <= 1e-12 * w[-1]
 
 
+def test_check_psd_of_closed_form_kernels():
+    pts = np.array([[-0.5, 0.2], [0.1, 0.9], [0.7, -0.3], [1.0, 1.0]])
+    for tag in ("dot", "affine_dot", "exp_dot"):
+        K = ClosedFormKernel(tag, 2)
+        gram = np.array([[eval_kernel(K, p, q)[0, 0] for q in pts] for p in pts])
+        w = np.linalg.eigvalsh(gram)
+        rep = check_psd(K, pts)
+        assert rep.passed and abs(rep.min_eigenvalue - w[0]) <= 1e-12 * w[-1]
+    # Gram matrix [[1, 2], [2, 4]] of s t, eigenvalues {0, 5}
+    rep = check_psd(ClosedFormKernel("dot"), [1.0, 2.0])
+    assert rep.passed and abs(rep.min_eigenvalue) < 1e-12
+
+
 def test_check_psd_refuses_points_of_the_wrong_dimension():
     K2 = kernel_of(kl_field([Harmonic((1.0, 2.0), 0.3, (1.0,))]))
     for points in ([[0.1], [0.2], [0.3], [0.4]], [0.1, 0.2], np.zeros((2, 3)),

@@ -59,6 +59,13 @@ def test_solve_refuses_ill_conditioned():
         solve_psd_pinv(np.zeros((2, 2)), np.ones(2))
 
 
+def test_solve_at_the_condition_limit_inverts_every_eigenvalue():
+    # a condition estimate of exactly 1e12 is accepted, and then no
+    # eigenvalue is dropped as if it were zero
+    x = solve_psd_pinv(np.diag([1.0, 1e-12]), np.ones(2))
+    assert np.array_equal(x, [1.0, 1e12])
+
+
 def test_stack_matches_single(rng_np):
     a = rng_np.standard_normal((4, 6, 6))
     a = a + a.transpose(0, 2, 1)
