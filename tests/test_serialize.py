@@ -192,7 +192,10 @@ def test_compiled_schema_agrees_with_jsonschema(kind, n_mutations, data):
 
 
 @pytest.mark.parametrize("schema", [
-    {"const": "a"}, {"enum": ["1", "a"]}, {"type": "integer", "minimum": 1},
+    {"const": "a"}, {"const": ""}, {"enum": ["1", "a"]}, {"enum": ["a"]},
+    {"type": "object", "properties": {"a": {"type": "number"}}, "required": ["a"],
+     "additionalProperties": False},
+    {"type": "integer", "minimum": 1},
     {"type": "number", "exclusiveMinimum": 0},
     {"oneOf": [{"type": "number"}, {"type": "integer"}]},
     {"type": "array", "items": {"type": "number"}, "minItems": 2},
