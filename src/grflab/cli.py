@@ -93,15 +93,18 @@ def _estimate_dict(est) -> dict:
             "seed": est.seed, "ci95": list(est.ci95)}
 
 
-def _write_report(report: dict, rows: list[dict], args) -> None:
+def _table(rows: list[dict]) -> list[list]:
+    """CSV table of dict rows that share their keys: a header row, then the values."""
+    return [list(rows[0] if rows else ()), *(list(row.values()) for row in rows)]
+
+
+def _write_report(report: dict, table: list[list], args) -> None:
     if args.format == "json":
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        if len(table) > 1:  # a header alone is not written
+            csv.writer(buf).writerows(table)
         payload = buf.getvalue()
     if args.output == "-":
         sys.stdout.write(payload)
@@ -222,7 +225,7 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: return (report, csv_rows, exit_code)
+# subcommand bodies: return (report, csv_table, exit_code)
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args):
@@ -234,24 +237,19 @@ def _cmd_sample(args):
     coeffs = sample_batch_coeffs(field, args.seed, np.arange(args.samples))
     design = box_design(field, b, (0,) * field.m)
     values = apply_design(coeffs, design).reshape(args.samples, pts.shape[0], field.k)
-    rows = []
-    for s in range(args.samples):
-        for g in range(pts.shape[0]):
-            row = {"sample": s}
-            for i in range(field.m):
-                row[f"x{i}"] = pts[g, i]
-            for j in range(field.k):
-                row[f"value{j}"] = values[s, g, j]
-            rows.append(row)
+    grid, paths = pts.tolist(), values.tolist()
+    table = [["sample", *(f"x{i}" for i in range(field.m)),
+              *(f"value{j}" for j in range(field.k))]]
+    table += [[s, *x, *v] for s, path in enumerate(paths) for x, v in zip(grid, path)]
     report = {
         "command": "sample",
         "field_digest": field_digest(field),
         "seed": args.seed,
         "n_samples": args.samples,
-        "grid": [list(p) for p in pts],
-        "samples": [values[s].tolist() for s in range(args.samples)],
+        "grid": grid,
+        "samples": paths,
     }
-    return report, rows, 0
+    return report, table, 0
 
 
 def _cmd_covariance(args):
@@ -274,7 +272,7 @@ def _cmd_covariance(args):
         rows.append(row)
     report = {"command": "covariance", "field_digest": _digest_of(K),
               "results": results}
-    return report, rows, 0
+    return report, _table(rows), 0
 
 
 def _cmd_seminorm(args):
@@ -283,7 +281,7 @@ def _cmd_seminorm(args):
     value = kernel_seminorm(K, KernelSeminormSpec(b, args.order))
     report = {"command": "seminorm", "order": args.order,
               "field_digest": _digest_of(K), "seminorm": value}
-    return report, [{"order": args.order, "seminorm": value}], 0
+    return report, _table([{"order": args.order, "seminorm": value}]), 0
 
 
 def _cmd_jet_scan(args):
@@ -304,7 +302,7 @@ def _cmd_jet_scan(args):
     rows = [{"all_pass": scan.all_pass, "worst_point": json.dumps(list(scan.worst_point)),
              "worst_ratio": scan.worst_ratio, "n_failures": scan.n_failures}]
     code = _VALIDATION_EXIT if (args.require_pass and not scan.all_pass) else 0
-    return report, rows, code
+    return report, _table(rows), code
 
 
 def _cmd_estimate(args):
@@ -314,7 +312,7 @@ def _cmd_estimate(args):
     est = estimate_probability(field, event, args.samples, args.seed)
     report = {"command": "estimate", "event": event_doc,
               "field_digest": field_digest(field), **_estimate_dict(est)}
-    return report, [_estimate_dict(est)], 0
+    return report, _table([_estimate_dict(est)]), 0
 
 
 def _cmd_gauss_ratio(args):
@@ -328,7 +326,7 @@ def _cmd_gauss_ratio(args):
               "sqrt_kernel_seminorm": res.denominator}
     rows = [{"ratio": res.ratio, "denominator": res.denominator,
              "zero_denominator": res.zero_denominator}]
-    return report, rows, 0
+    return report, _table(rows), 0
 
 
 def _cmd_limit_study(args):
@@ -347,7 +345,7 @@ def _cmd_limit_study(args):
                for row in rows_out]
     report = {"command": "limit-study", "r": r, "distance_order": order,
               "results": results}
-    return report, results, 0
+    return report, _table(results), 0
 
 
 def _cmd_counterexample(args):
@@ -367,7 +365,7 @@ def _cmd_counterexample(args):
         })
     report = {"command": "counterexample", "seed": args.seed,
               "n_samples": args.samples, "results": results}
-    return report, results, 0
+    return report, _table(results), 0
 
 
 def _cmd_validate(args):
@@ -376,6 +374,8 @@ def _cmd_validate(args):
     K = _kernel_from_args(args)
     if args.points:
         pts = points_array(_load_json_arg(args.points), K.m)
+        if not len(pts):
+            raise ValueError("--points must hold at least one point")
     else:
         b = _box_from_args(args, K.m)
         full = grid_points(b)
@@ -398,7 +398,7 @@ def _cmd_validate(args):
     }
     rows = [{"symmetry_passed": sym.passed, "max_violation": sym.max_violation,
              "psd_passed": psd.passed, "min_eigenvalue": psd.min_eigenvalue}]
-    return report, rows, 0 if passed else _VALIDATION_EXIT
+    return report, _table(rows), 0 if passed else _VALIDATION_EXIT
 
 
 _COMMANDS = {
@@ -418,14 +418,14 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, rows, code = _COMMANDS[args.command](args)
+        report, table, code = _COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"grflab: schema error at {exc.pointer}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (GrflabError, ValueError, OSError, MemoryError) as exc:
         print(f"grflab: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    _write_report(report, rows, args)
+    _write_report(report, table, args)
     return code
 
 

@@ -41,6 +41,8 @@ class KLField:
     k: int
 
     def __post_init__(self):
+        if self.m < 1 or self.k < 1:
+            raise ValueError("need m >= 1 and k >= 1")
         if len(self.basis) != len(self.sigmas):
             raise ValueError("need one sigma per basis function")
         if any(s <= 0 for s in self.sigmas):
@@ -100,7 +102,8 @@ def sample(field: KLField, rng: RandomStream) -> SamplePath:
 def sample_batch_coeffs(field: KLField, seed: int, indices) -> np.ndarray:
     """Coefficient rows for the sample indices, one derived stream each."""
     z = normal_matrix(seed, indices, field.size)
-    return z * field.sigma_array[None, :]
+    z *= field.sigma_array
+    return z
 
 
 def eval_sample(path: SamplePath, p, alpha=None) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 Events are deterministic predicates of a sample path restricted to a box
 grid.  Estimation derives one random stream per sample index, so estimates
-are reproducible bit-for-bit from ``(seed, n_samples, event)`` and work can
-be chunked or parallelized over indices without changing the result.
+are reproducible bit-for-bit from ``(seed, n_samples, event)``, and chunks
+of indices run on several threads without changing the result.
 Indicator counts are integer sums (exact, order independent); real-valued
 statistics are reduced with exact compensated summation.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -106,8 +108,6 @@ def _indicator_batch(event: EventSpec, field: KLField, coeffs: np.ndarray) -> np
         return _zero_count_rows(vals) == event.count
     if isinstance(event, PositiveOnBox):
         vals = apply_design(coeffs, box_design(field, event.box, (0,) * field.m))
-        if vals.shape[1] == 0:
-            return np.zeros(coeffs.shape[0], dtype=bool)
         return np.min(vals, axis=1) > 0.0
     if isinstance(event, DegenerateZero):
         v0 = apply_design(coeffs, box_design(field, event.box, (0,)))
@@ -154,13 +154,36 @@ def _mean_estimate(values: np.ndarray, seed: int) -> MCEstimate:
     return MCEstimate(mean, se, n, seed, (mean - 1.96 * se, mean + 1.96 * se))
 
 
-def _coeff_chunks(field: KLField, b: Box, n_samples: int, seed: int):
-    """Coefficient rows of samples 0 .. n_samples-1, one chunk at a time.
+def _usable_cores() -> int:
+    # the cores this process may run on (``taskset`` restricts them), where
+    # the platform says so
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    A chunk's coefficients and grid values fit in one block.
+
+def _map_chunks(fn, field: KLField, b: Box, n_samples: int, seed: int) -> list:
+    """``fn`` of the coefficient rows of each chunk of samples 0 .. n_samples-1, in order.
+
+    A chunk is always a quarter block of coefficients and grid values, so
+    results do not depend on the core count.  The caller runs the first
+    chunk, which fills the design caches; the rest run on at most
+    ``min(usable cores, 4)`` threads, so the chunks in flight hold at most
+    one block.  A run of one chunk opens no pool.
     """
-    for rows in _blocks(n_samples, b.n_grid_points * field.k + field.size):
-        yield sample_batch_coeffs(field, seed, np.arange(rows.start, rows.stop))
+    chunks = list(_blocks(n_samples, 4 * (b.n_grid_points * field.k + field.size)))
+
+    def run(rows: slice):
+        return fn(sample_batch_coeffs(field, seed, np.arange(rows.start, rows.stop)))
+
+    first = run(chunks[0])
+    if len(chunks) == 1:
+        return [first]
+    threads = min(_usable_cores(), 4, len(chunks) - 1)
+    # looked up here: concurrent.futures loads its thread module on first use,
+    # so a command that opens no pool does not import it
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        return [first, *pool.map(run, chunks[1:])]
 
 
 def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 20000,
@@ -173,8 +196,9 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")
     _check_event(event, field)
-    count = sum(int(np.count_nonzero(_indicator_batch(event, field, coeffs)))
-                for coeffs in _coeff_chunks(field, event.box, n_samples, seed))
+    count = sum(_map_chunks(
+        lambda coeffs: int(np.count_nonzero(_indicator_batch(event, field, coeffs))),
+        field, event.box, n_samples, seed))
     return _indicator_estimate(count, n_samples, seed)
 
 
@@ -183,8 +207,8 @@ def empirical_sup_mean(field: KLField, b: Box, r: int, n_samples: int = 20000,
     """Monte Carlo mean of the order-r grid sup-norm of sample paths."""
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    sups = [batch_seminorms(field, coeffs, b, r)
-            for coeffs in _coeff_chunks(field, b, n_samples, seed)]
+    sups = _map_chunks(lambda coeffs: batch_seminorms(field, coeffs, b, r),
+                       field, b, n_samples, seed)
     return _mean_estimate(np.concatenate(sups), seed)
 
 

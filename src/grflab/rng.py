@@ -45,11 +45,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX_1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX_2)
-    return z ^ (z >> np.uint64(31))
+    """The xorshift-multiply finalizer, in place on the uint64 array ``z``."""
+    t = np.right_shift(z, np.uint64(30))
+    z ^= t
+    z *= np.uint64(_MIX_1)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(_MIX_2)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def uniform_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
@@ -57,9 +60,13 @@ def uniform_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
     g = np.uint64(GAMMA)
     idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
     keys = _mix64_np(np.uint64(seed & _M64) + (idx + np.uint64(1)) * g)
-    counters = (np.arange(offset + 1, offset + n + 1, dtype=np.uint64)) * g
+    counters = np.arange(offset + 1, offset + n + 1, dtype=np.uint64) * g
     words = _mix64_np(keys[:, None] + counters[None, :])
-    return (np.float64(words >> np.uint64(11)) + 0.5) * 2.0 ** -53
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +96,8 @@ def normal_quantile(u):
 
 def normal_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
     """Standard normal draws: row s holds draws of stream indices[s]."""
-    return ndtri(uniform_matrix(seed, indices, n, offset))
+    u = uniform_matrix(seed, indices, n, offset)
+    return ndtri(u, out=u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -84,6 +86,29 @@ def test_covariance_command(capsys):
     assert report["results"][0] == {"p": [2], "q": [3], "K": [[7.0]]}
 
 
+def test_sample_csv_matches_the_json_report(tmp_path):
+    # the CSV rows are the JSON report's grid and values, as csv.DictWriter
+    # writes one dict per row
+    box_doc = json.dumps({"lower": [0.0, -1.0], "upper": [1.0, 1.0], "resolution": [3, 2]})
+    field = json.dumps({"m": 2, "k": 2, "basis": [
+        {"type": "harmonic", "frequency": [1.0, 2.0], "phase": 0.3, "amplitude": [1.0, -0.5]},
+        {"type": "monomial", "exponents": [1, 2], "amplitude": [2.0, 1e-30]}]})
+    argv = ["sample", "--field", field, "--box", box_doc, "--samples", "3", "--seed", "4"]
+    assert run(argv + ["--output", str(tmp_path / "r.json")]) == 0
+    assert run(argv + ["--format", "csv", "--output", str(tmp_path / "r.csv")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["sample", "x0", "x1", "value0", "value1"])
+    writer.writeheader()
+    for s, path in enumerate(report["samples"]):
+        for x, v in zip(report["grid"], path):
+            writer.writerow({"sample": s, "x0": x[0], "x1": x[1], "value0": v[0],
+                             "value1": v[1]})
+    assert (tmp_path / "r.csv").read_bytes() == buf.getvalue().encode()
+    assert run(argv[:-3] + ["0", "--format", "csv", "--output", str(tmp_path / "e.csv")]) == 0
+    assert (tmp_path / "e.csv").read_bytes() == b""
+
+
 def test_sample_command(tmp_path):
     out = tmp_path / "paths.csv"
     assert run(["sample", "--field", FIELD_AFFINE, "--samples", "2",
@@ -122,6 +147,13 @@ def test_validate_refuses_points_of_the_wrong_dimension(capsys):
     flat = json.loads(capsys.readouterr().out)
     assert run(["validate", "--field", FIELD_AFFINE, "--points", "[[0.1], [0.5], [0.9]]"]) == 0
     assert json.loads(capsys.readouterr().out) == flat and flat["n_points"] == 3
+
+
+def test_validate_refuses_an_empty_point_list(capsys):
+    assert run(["validate", "--field", FIELD_AFFINE, "--points", "[]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grflab: error: --points must hold at least one point\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -290,3 +322,30 @@ def test_oversized_dense_design_is_an_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("grflab: error: ")
     assert "4914010 entries" in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs sched_getaffinity and sched_setaffinity")
+def test_reports_do_not_depend_on_the_usable_cores(tmp_path):
+    # Monte Carlo chunks have a fixed size, so a run pinned to one CPU
+    # writes the same bytes as a run that may use every core
+    event = json.dumps({"type": "zero_count_equals", "count": 1,
+                        "box": {"lower": [0.0], "upper": [1.0], "resolution": [2048]}})
+    commands = {
+        "estimate.json": ["estimate", "--field", FIELD_AFFINE, "--event", event,
+                          "--samples", "20000", "--seed", "3"],
+        "counterexample.json": ["counterexample", "--n", "5", "--samples", "20000",
+                                "--seed", "3"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    for name, argv in commands.items():
+        outputs = []
+        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu)):
+            out = tmp_path / f"{len(outputs)}-{name}"
+            proc = subprocess.run([sys.executable, "-m", "grflab.cli", *argv, "--output",
+                                   str(out)], env=env, preexec_fn=pin, capture_output=True,
+                                  timeout=120)
+            assert proc.returncode == 0 and proc.stdout == b"" and proc.stderr == b""
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

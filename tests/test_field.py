@@ -32,6 +32,12 @@ def test_empty_field_samples_zero():
     assert sample_seminorm(path, unit_interval(), 2) == 0.0
 
 
+@pytest.mark.parametrize("m, k", [(1, 0), (0, 1), (0, 0), (-1, 1)])
+def test_field_needs_positive_dimensions(m, k):
+    with pytest.raises(ValueError, match="m >= 1 and k >= 1"):
+        kl_field([], m=m, k=k)
+
+
 def test_constant_field_variance():
     f = kl_field([ONE])
     coeffs = sample_batch_coeffs(f, 0, np.arange(100_000))

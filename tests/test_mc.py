@@ -1,16 +1,21 @@
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grflab import (DegenerateZero, Monomial, PositiveOnBox, Scaled,
+import grflab.field
+import grflab.mc
+from grflab import (DegenerateZero, Harmonic, Monomial, PositiveOnBox, Scaled,
                     SupNormBelow, ZeroCountEquals, empirical_sup_mean,
                     estimate_probability, gaussian_ratio, kl_field, limit_study,
                     normal_cdf, unit_interval)
 from grflab import counterexample as cx
 from grflab.field import apply_design, box_design, sample_batch_coeffs
-from grflab.mc import _indicator_estimate, _zero_count_rows
+from grflab.mc import _indicator_estimate, _map_chunks, _zero_count_rows
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -216,3 +221,46 @@ def test_limit_study_counterexample_failure_mode():
     assert all(p1 > p2 for p1, p2 in zip(probs, probs[1:]))
     assert probs[-1] < 0.05
     assert rows[-1].estimate.p_hat == 1.0  # the limit field is identically zero
+
+
+MIXED = kl_field([ONE, T, Harmonic((9.0,), 0.4, (1.0,)), Harmonic((4.0,), 1.1, (1.0,))],
+                 sigmas=[0.3, 0.5, 0.9, 0.7])
+
+
+def _mc_results(n):
+    b = unit_interval(128)
+    return (estimate_probability(MIXED, SupNormBelow(b, 1, 12.0), n, 5),
+            estimate_probability(MIXED, ZeroCountEquals(b, 3), n, 5),
+            empirical_sup_mean(MIXED, b, 1, n, 5))
+
+
+def test_many_chunks_on_the_pool_equal_one_chunk(monkeypatch):
+    n, per_sample = 3000, 129 + MIXED.size
+    monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * n * per_sample)
+    one = _mc_results(n)
+    # chunks of 37 samples: 82 chunks, all but the first on the pool; the
+    # result depends neither on the number of threads nor on how they interleave
+    monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 37 * per_sample)
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _mc_results(n) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
+    b = unit_interval(20)
+    per_sample = 21 + MIXED.size
+    monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 10 * per_sample + 3)
+    seen = _map_chunks(lambda coeffs: (coeffs, threading.get_ident()), MIXED, b, 95, 2)
+    assert [c.shape[0] for c, _ in seen] == [10] * 9 + [5]
+    assert seen[0][1] == threading.get_ident()
+    assert all(ident != threading.get_ident() for _, ident in seen[1:])
+    assert np.array_equal(np.concatenate([c for c, _ in seen]),
+                          sample_batch_coeffs(MIXED, 2, np.arange(95)))
+    # one chunk runs in the caller and opens no pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    assert len(_map_chunks(len, MIXED, b, 10, 2)) == 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from grflab import DomainError, RandomStream, normal_cdf, normal_quantile
-from grflab.rng import normal_matrix, uniform_matrix
+from grflab.rng import GAMMA, normal_matrix, uniform_matrix
 
 from conftest import bisect_normal_quantile
 
@@ -106,3 +106,34 @@ def test_normal_moments():
     assert abs(z.mean()) < 5.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
 
+
+
+def _mix_reference(z: int) -> int:
+    m64 = (1 << 64) - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
+    return z ^ (z >> 31)
+
+
+def _uniform_reference(seed: int, index: int, draw: int) -> float:
+    """Draw ``draw`` of stream (seed, index) in Python ints, as the module docstring states."""
+    m64 = (1 << 64) - 1
+    key = _mix_reference((seed + (index + 1) * GAMMA) & m64)
+    word = _mix_reference((key + (draw + 1) * GAMMA) & m64)
+    return ((word >> 11) + 0.5) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("seed, indices, offset", [
+    (0, [0, 1, 2], 0),
+    (42, [7, 1000, 123456789], 3),
+    (2 ** 63 + 12345, [0, 5], 17),
+    (2 ** 64 - 1, [2 ** 40, 9], 0),
+    (-3, [4], 2 ** 32),
+])
+def test_streams_match_a_python_int_reference(seed, indices, offset):
+    n = 6
+    want = np.array([[_uniform_reference(seed, i, offset + j) for j in range(n)]
+                     for i in indices])
+    assert np.array_equal(uniform_matrix(seed, indices, n, offset), want)
+    assert np.array_equal(normal_matrix(seed, indices, n, offset),
+                          [[ndtri(u) for u in row] for row in want])
