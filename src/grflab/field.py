@@ -8,8 +8,9 @@ the limit.
 
 Sampling is reproducible: coefficient draws come from a named
 :class:`~grflab.rng.RandomStream`, and Monte Carlo code derives one stream
-per sample index, so identical ``(seed, index)`` always yields the
-bit-identical path.
+per sample index, so identical ``(seed, index)`` always yields bit-identical
+coefficients and windowed-design values.  BLAS may round the last bits of a
+dense product differently with its row count, so such loops use fixed sizes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .rng import RandomStream, normal_matrix
 # entry budget of one dense block: a dense design above it is refused, and
 # point, pair and sample loops are cut by ``_blocks`` to stay within it
 _BLOCK_ENTRIES = 4_000_000
+_TILE_ENTRIES = 40_000  # one dense kernel-distance pair tile, 320 kB: it stays in L2
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,14 @@ def eval_sample(path: SamplePath, p, alpha=None) -> np.ndarray:
 # design matrices: basis values at points, one row per basis function
 # ---------------------------------------------------------------------------
 
-def _blocks(n: int, per_item: int):
-    """Slices cutting ``range(n)`` into blocks of ``_BLOCK_ENTRIES // per_item`` items.
+def _blocks(n: int, per_item: int, budget: int | None = None):
+    """Slices cutting ``range(n)`` into blocks of ``budget // per_item`` items.
 
-    ``per_item`` is the number of entries one item adds to a block; every
+    ``per_item`` is the number of entries one item adds to a block and
+    ``budget`` defaults to ``_BLOCK_ENTRIES``, read at each call; every
     block holds at least one item.
     """
-    step = max(1, _BLOCK_ENTRIES // max(1, per_item))
+    step = max(1, (_BLOCK_ENTRIES if budget is None else budget) // max(1, per_item))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 

@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import KLField, _blocks, _dense, _design, _stacked, box_design
+from .field import _TILE_ENTRIES, KLField, _blocks, _dense, _design, _stacked, box_design
 from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
@@ -223,7 +223,11 @@ def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
     """Seminorm of the pointwise difference of two kernels.
 
     A difference of kernels is not positive semidefinite, so unlike
-    :func:`kernel_seminorm` this scans every point pair, in row blocks.
+    :func:`kernel_seminorm` this scans every point pair: a dense pair block
+    in row tiles of ``_TILE_ENTRIES`` that stay in L2 from product to max,
+    only the upper triangle of a diagonal pair (alpha = beta), a windowed
+    one in whole blocks.  A result's last bits depend on the tile size,
+    never on the run or the core count.
     """
     if K1.k != K2.k or K1.m != K2.m:
         raise ValueError("kernels must share (m, k)")
@@ -246,12 +250,16 @@ def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
     left = {a: _stacked([d[a] for _, d in kl], transpose=True) for a in alphas} if kl else {}
     right = {a: _stacked([c * d[a] for c, d in kl]) for a in alphas} if kl else {}
     side = spec.box.n_grid_points * K1.k
+    dense = not kl or isinstance(right[alphas[0]], np.ndarray)
     best = 0.0
     for a, b in combinations_with_replacement(alphas, 2):
-        for rows in _blocks(side, side):
-            block = left[a][rows] @ right[b] if kl else 0.0
+        for rows in _blocks(side, side, _TILE_ENTRIES if dense else None):
+            # a diagonal pair's block is symmetric: columns before the tile's first
+            # row repeat earlier tiles' rows (a sparse column slice is a copy)
+            start = rows.start if dense and a == b else 0
+            block = left[a][rows] @ (right[b][:, start:] if start else right[b]) if kl else 0.0
             for c, K in closed:
-                block = block + c * _closed_form_block(K, pts[rows], pts, a, b)
+                block = block + c * _closed_form_block(K, pts[rows], pts[start:], a, b)
             # max |entry| without an abs temporary; a sparse block's max and
             # min count its implicit zeros, also when it stores none
             best = max(best, float(block.max()), -float(block.min()))

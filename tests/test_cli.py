@@ -324,28 +324,46 @@ def test_oversized_dense_design_is_an_error_line(capsys):
     assert "4914010 entries" in err and "Traceback" not in err
 
 
+def _harmonic_doc(freqs):
+    return {"m": 2, "k": 1, "basis": [
+        {"type": "harmonic", "frequency": w, "phase": 0.3 * i, "amplitude": [1.0]}
+        for i, w in enumerate(freqs)]}
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs sched_getaffinity and sched_setaffinity")
 def test_reports_do_not_depend_on_the_usable_cores(tmp_path):
-    # Monte Carlo chunks have a fixed size, so a run pinned to one CPU
-    # writes the same bytes as a run that may use every core
+    # Monte Carlo chunks and kernel-distance tiles have a fixed size, so a
+    # run pinned to one CPU writes the same bytes as a run that may use
+    # every core, and as a second run
     event = json.dumps({"type": "zero_count_equals", "count": 1,
                         "box": {"lower": [0.0], "upper": [1.0], "resolution": [2048]}})
+    # 256 grid points: each pair block of the order-2 distance is two tiles
+    freqs = [[1.0, 2.0], [-2.5, 0.5], [3.0, -1.5]]
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({
+        "fields": [_harmonic_doc([[x + 0.1 * j, y] for x, y in freqs]) for j in (1, 2)],
+        "limit_field": _harmonic_doc(freqs),
+        "event": {"type": "sup_norm_below", "order": 0, "threshold": 2.0,
+                  "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": [8, 8]}},
+        "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": [15, 15]},
+        "r": 0}))
     commands = {
         "estimate.json": ["estimate", "--field", FIELD_AFFINE, "--event", event,
                           "--samples", "20000", "--seed", "3"],
         "counterexample.json": ["counterexample", "--n", "5", "--samples", "20000",
                                 "--seed", "3"],
+        "limit-study.json": ["limit-study", "--config", str(study), "--samples", "500"],
     }
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     one_cpu = {min(os.sched_getaffinity(0))}
     for name, argv in commands.items():
         outputs = []
-        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu)):
+        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu), None):
             out = tmp_path / f"{len(outputs)}-{name}"
             proc = subprocess.run([sys.executable, "-m", "grflab.cli", *argv, "--output",
                                    str(out)], env=env, preexec_fn=pin, capture_output=True,
                                   timeout=120)
             assert proc.returncode == 0 and proc.stdout == b"" and proc.stderr == b""
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -3,13 +3,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import grflab.field
+import grflab.kernel
 from grflab import (Bump, ClosedFormKernel, Harmonic, KernelSeminormSpec,
                     Monomial, Scaled, box, check_psd, check_symmetry,
                     eval_kernel, eval_kernel_deriv, kernel_distance, kernel_of,
                     kernel_seminorm, kl_field, unit_interval)
 from grflab import counterexample as cx
 from grflab.basis import grid_points
-from grflab.field import box_design
+from grflab.field import _blocks, box_design
 from grflab.kernel import eval_kernel_deriv_pairs
 from grflab.multiindex import multi_indices
 
@@ -354,9 +356,66 @@ def test_closed_form_distance_is_the_pair_max(case):
     assert abs(got - ref) <= 1e-12 * scale
 
 
-def test_windowed_sparse_seminorm_and_distance():
+def _spy_blocks(monkeypatch):
+    """The slices of every ``_blocks`` call that kernel.py makes from now on."""
+    calls = []
+
+    def spy(*args):
+        calls.append(list(_blocks(*args)))
+        return calls[-1]
+
+    monkeypatch.setattr(grflab.kernel, "_blocks", spy)
+    return calls
+
+
+def _tiny_and_whole_tiles(monkeypatch):
+    """Run each case with one-row tiles, then one tile per pair block."""
+    calls = _spy_blocks(monkeypatch)
+    for budget, one_row in ((1, True), (grflab.field._BLOCK_ENTRIES, False)):
+        monkeypatch.setattr(grflab.kernel, "_TILE_ENTRIES", budget)
+        calls.clear()
+        yield
+        assert calls
+        assert all(len(c) == (c[-1].stop if one_row else 1) for c in calls)
+
+
+def _harmonic_terms(k, seed):
+    rng = np.random.default_rng(seed)
+    return [Harmonic(tuple(rng.uniform(-3, 3, 2)), float(rng.uniform(0, 6)),
+                     tuple(rng.uniform(-1.5, 1.5, k))) for _ in range(4)]
+
+
+def _tile_cases():
+    b = box([-1.0, -1.0], [0.5, 0.5], 4)
+    for k in (1, 2):
+        yield (kernel_of(kl_field(_harmonic_terms(k, 1) + [Monomial((1, 1), (1.0,) * k)],
+                                  [1.0, 0.8, 1.3, 0.6, 0.9])),
+               kernel_of(kl_field(_harmonic_terms(k, 2), [0.7, 1.1, 0.5, 1.2])), b, 2)
+    # the distance is d_y (K1 - K2)(x, y) at x > y, below the diagonal of
+    # the (0, 1) pair block: a triangle on that pair would miss it
+    yield (kernel_of(kl_field([Harmonic((-0.2,), 5.7, (1.0,))])),
+           kernel_of(kl_field([Harmonic((-1.0,), 0.9, (1.0,))])), box(0.0, 1.0, 4), 1)
+    yield kernel_of(kl_field(_harmonic_terms(1, 3))), ClosedFormKernel("exp_dot", 2), b, 2
+    yield ClosedFormKernel("affine_dot", 2), ClosedFormKernel("exp_dot", 2), b, 2
+
+
+@pytest.mark.parametrize("case", list(_tile_cases()))
+def test_distance_tiles_match_the_pair_max(monkeypatch, case):
+    """One-row tiles run the triangle of every diagonal pair on every row."""
+    K1, K2, b, r = case
+    spec = KernelSeminormSpec(b, r)
+    ref = _brute_pair_max(K1, b, r, minus=K2)
+    scale = max(ref, kernel_seminorm(K1, spec), kernel_seminorm(K2, spec))
+    for _ in _tiny_and_whole_tiles(monkeypatch):
+        assert abs(kernel_distance(K1, K2, spec) - ref) <= 1e-12 * scale
+        assert abs(kernel_distance(K2, K1, spec) - ref) <= 1e-12 * scale
+        assert kernel_distance(K1, K1, spec) == 0.0
+
+
+def test_windowed_sparse_seminorm_and_distance(monkeypatch):
     """Overlapping bumps on a 20001-point grid: the designs are windowed-sparse,
-    and the references take sparse Gram products."""
+    and the references take sparse Gram products.  A windowed stack is cut
+    into whole blocks, not into dense pair tiles."""
     rng = np.random.default_rng(7)
     b = box(0.0, 1.0, 20000)
 
@@ -368,6 +427,7 @@ def test_windowed_sparse_seminorm_and_distance():
     K1, K2 = bumps(210), bumps(230)
     assert sp.issparse(box_design(K1.field, b, (0,)))
     assert sp.issparse(box_design(K2.field, b, (0,)))
+    calls = _spy_blocks(monkeypatch)
     for r in (0, 2):
         spec = KernelSeminormSpec(b, r)
         scaled = [_scaled(K1, b, a) for a in multi_indices(1, r)]
@@ -375,6 +435,8 @@ def test_windowed_sparse_seminorm_and_distance():
         assert abs(kernel_seminorm(K1, spec) - pair_max) <= 1e-12 * pair_max
         ref = _two_product_distance(K1, K2, b, r)
         assert abs(kernel_distance(K1, K2, spec) - ref) <= 1e-12 * ref
+    assert {s.stop - s.start for c in calls for s in c[:-1]} == {
+        grflab.field._BLOCK_ENTRIES // 20001}
 
 
 def test_kernel_sup_decay_bits():
