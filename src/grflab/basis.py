@@ -10,26 +10,29 @@ normalized to peak value ``|amplitude|`` at the center.  All evaluations
 and derivative evaluations are pure closed forms, so downstream covariance
 and jet computations are analytic rather than numeric.
 
-Bump derivatives use the rational-prefactor recurrence: writing
-``z = (x - c)/rho`` and ``s = |z|^2``, every mixed partial of order ``d``
-has the exact form
+Bump derivatives come from two closed forms.  With ``z = (x - c)/rho``,
+``s = |z|^2`` and the profile ``F(s) = exp(1 - u)``, ``u = 1/(1 - s)``:
 
-    P(z) * exp(1 - 1/(1 - s)) / ((1 - s)**(2 d) * rho**d)
+* per axis, ``d^a/dz^a G(z^2) = sum_j a!/(j!(a-2j)!) (2z)^(a-2j) G^(a-j)(z^2)``;
+  the axes meet only in ``s``, so a mixed partial is a sum over the
+  product of the per-axis sums, ``prod_i (a_i//2 + 1)`` terms;
+* ``F^(n)(s) = R_n(u) exp(1 - u)`` with ``R_0 = 1`` and
+  ``R_(n+1) = u^2 (R_n' - R_n)``, integer polynomials.
 
-where ``P`` is a polynomial with integer coefficients obtained by the
-per-axis step ``P -> dP/dz_i * (1-s)^2 + 2 e z_i P (1-s) - 2 z_i P`` (with
-``e`` the accumulated denominator exponent).  The recurrence is expanded
-symbolically at first use and cached up to total order 4; higher orders
-raise :class:`OrderUnsupportedError` rather than silently truncating.
+A partial of order ``d`` carries ``rho**-d``.  Term lists and ``R_n`` are
+built at first use and cached up to total order 4; higher orders raise
+:class:`OrderUnsupportedError` rather than silently truncating.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import Polynomial, polyval
 
 from .exceptions import OrderUnsupportedError
 from .multiindex import MultiIndex, order as mi_order, validate as mi_validate
@@ -217,71 +220,25 @@ class Harmonic(BasisFunction):
         return np.outer(vals, np.asarray(self.amplitude, dtype=np.float64))
 
 
-# -- bump polynomial recurrence ---------------------------------------------
+# -- bump derivatives -------------------------------------------------------
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _poly_diff(a: dict, i: int) -> dict:
-    out: dict = {}
-    for e, c in a.items():
-        if e[i]:
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[e2] = out.get(e2, 0) + c * e[i]
-    return out
-
-
-def _poly_mul_axis(a: dict, i: int, scale: int) -> dict:
-    out: dict = {}
-    for e, c in a.items():
-        e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-        out[e2] = scale * c
-    return out
+@lru_cache(maxsize=None)
+def _profile_poly(n: int) -> Polynomial:
+    """R_n with d^n/ds^n exp(1 - u) = R_n(u) exp(1 - u), u = 1/(1 - s)."""
+    if n == 0:
+        return Polynomial([1.0])
+    r = _profile_poly(n - 1)
+    return Polynomial([0.0, 0.0, 1.0]) * (r.deriv() - r)
 
 
 @lru_cache(maxsize=None)
-def _bump_prefactor_poly(m: int, alpha: MultiIndex) -> tuple:
-    """Integer polynomial P with d^alpha bump = P(z) G(s) / (1-s)^(2|alpha|)."""
-    one = (0,) * m
-    poly = {one: 1}
-    one_minus_s = {one: 1}
-    for j in range(m):
-        sq = one[:j] + (2,) + one[j + 1:]
-        one_minus_s[sq] = -1
-    oms_sq = _poly_mul(one_minus_s, one_minus_s)
-    e = 0
-    for axis in range(m):
-        for _ in range(alpha[axis]):
-            term1 = _poly_mul(_poly_diff(poly, axis), oms_sq)
-            term2 = _poly_mul(_poly_mul_axis(poly, axis, 2 * e), one_minus_s)
-            term3 = _poly_mul_axis(poly, axis, -2)
-            poly = _poly_add(_poly_add(term1, term2), term3)
-            e += 2
-    return tuple(sorted(poly.items()))
-
-
-def _poly_eval(poly: tuple, z: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape[0])
-    for exps, coeff in poly:
-        term = np.full(z.shape[0], float(coeff))
-        for i, e in enumerate(exps):
-            if e:
-                term = term * z[:, i] ** e
-        out += term
-    return out
+def _bump_terms(alpha: MultiIndex) -> tuple:
+    """Terms (c, p, n) with d^alpha F(|z|^2) = sum c z^p F^(n)(|z|^2), c integer."""
+    # axis terms j = 0 .. a//2: a!/(j!(a-2j)!) (2z)^(a-2j) F^(a-j)
+    per_axis = [[(math.comb(a - j, j) * math.perm(a, j) * 2 ** (a - 2 * j), a - 2 * j, a - j)
+                 for j in range(a // 2 + 1)] for a in alpha]
+    return tuple((math.prod(cs), ps, sum(ns))
+                 for cs, ps, ns in (zip(*t) for t in itertools.product(*per_axis)))
 
 
 def bump_partial(pts: np.ndarray, centers, radii, alpha: MultiIndex) -> np.ndarray:
@@ -302,15 +259,20 @@ def bump_partial(pts: np.ndarray, centers, radii, alpha: MultiIndex) -> np.ndarr
     vals = np.zeros(pts.shape[0])
     inside = s < 1.0
     if inside.any():
-        one_minus = 1.0 - s[inside]
-        vals[inside] = np.exp(1.0 - 1.0 / one_minus)
+        u = 1.0 / (1.0 - s[inside])
+        vals[inside] = np.exp(1.0 - u)
         if d:
+            z = z[inside]
+            total = np.zeros(u.size)  # +0.0, so an exact zero is not -0.0
+            for c, powers, n in _bump_terms(tuple(alpha)):
+                term = c * polyval(u, _profile_poly(n).coef)
+                for i, p in enumerate(powers):
+                    if p:
+                        term *= z[:, i] ** p
+                total += term
             # float_power is libm pow, the same rounding as ``radius ** d``
             # on a Python float; ``**`` on an array is not
-            poly = _bump_prefactor_poly(pts.shape[1], tuple(alpha))
-            vals[inside] = (_poly_eval(poly, z[inside]) * vals[inside]
-                            / one_minus ** (2 * d)
-                            / np.float_power(radii[inside], d))
+            vals[inside] *= total / np.float_power(radii[inside], d)
     return vals
 
 

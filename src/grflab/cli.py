@@ -419,13 +419,13 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, table, code = _COMMANDS[args.command](args)
+        _write_report(report, table, args)
     except SchemaError as exc:
         print(f"grflab: schema error at {exc.pointer}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (GrflabError, ValueError, OSError, MemoryError) as exc:
         print(f"grflab: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    _write_report(report, table, args)
     return code
 
 

@@ -6,7 +6,7 @@ class GrflabError(Exception):
 
 
 class OrderUnsupportedError(GrflabError):
-    """A derivative order beyond the implemented recurrence depth was requested."""
+    """A derivative order beyond the implemented one was requested."""
 
 
 class DomainError(GrflabError, ValueError):

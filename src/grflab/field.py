@@ -164,6 +164,11 @@ def _bump_windows(field: KLField):
     return centers, radii, levels
 
 
+def _check_entries(n_entries: int) -> None:
+    if n_entries > _BLOCK_ENTRIES:
+        raise MemoryError(f"design of {n_entries} entries exceeds the supported size")
+
+
 def _windowed_design(x: np.ndarray, alpha: MultiIndex, centers: np.ndarray,
                      radii: np.ndarray, levels: np.ndarray) -> sp.csr_array:
     # evaluate each row only at the points inside its support window, all
@@ -174,6 +179,7 @@ def _windowed_design(x: np.ndarray, alpha: MultiIndex, centers: np.ndarray,
     axis = x[order]
     i0 = np.searchsorted(axis, centers - radii, side="left")
     counts = np.searchsorted(axis, centers + radii, side="right") - i0
+    _check_entries(int(counts.sum()))
     rows = np.repeat(np.arange(centers.size), counts)
     starts = np.cumsum(counts) - counts
     pos = np.arange(rows.size) - np.repeat(starts - i0, counts)
@@ -189,8 +195,9 @@ def _design(field: KLField, pts: np.ndarray, alpha):
     """(N, G*k) design of d^alpha f_n at the (G, m) points; the one place it is built.
 
     A non-empty field of (scaled) bumps with m = k = 1 gets a windowed
-    ``csr_array`` at any points; every other field a dense array, refused
-    with :class:`MemoryError` above ``_BLOCK_ENTRIES`` entries.  Column
+    ``csr_array`` at any points; every other field a dense array.  Either
+    is refused with :class:`MemoryError` before it is built when it would
+    store more than ``_BLOCK_ENTRIES`` entries.  Column
     ``g*k + j`` is component ``j`` at point ``g``.  Consumers read either
     form through the operations both support: ``@``, elementwise ``*``,
     ``.sum(axis=...)``, column slices and ``abs(...).max(axis=0)``.
@@ -201,9 +208,7 @@ def _design(field: KLField, pts: np.ndarray, alpha):
     windows = _bump_windows(field)
     if windows is not None:
         return _windowed_design(pts[:, 0], alpha, *windows)
-    n_entries = field.size * pts.shape[0] * field.k
-    if n_entries > _BLOCK_ENTRIES:
-        raise MemoryError(f"dense design of {n_entries} entries exceeds the supported size")
+    _check_entries(field.size * pts.shape[0] * field.k)
     out = np.empty((field.size, pts.shape[0] * field.k))
     for row, f in enumerate(field.basis):
         out[row] = f.eval_partial(pts, alpha).ravel()

@@ -235,10 +235,6 @@ def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
         raise ValueError("box dimension does not match the kernel")
     if K1 == K2:
         return 0.0
-    if isinstance(K1, KLKernel) and K1.field.size == 0:
-        return kernel_seminorm(K2, spec)
-    if isinstance(K2, KLKernel) and K2.field.size == 0:
-        return kernel_seminorm(K1, spec)
     alphas = multi_indices(K1.m, spec.order)
     pts = grid_points(spec.box)
     signed = ((1.0, K1), (-1.0, K2))

@@ -6,6 +6,7 @@ import pytest
 from grflab import (BUMP_MAX_DERIV_ORDER, Bump, Harmonic, Monomial,
                     OrderUnsupportedError, Scaled, box, fd_check, grid_points,
                     unit_interval)
+from grflab.multiindex import multi_indices
 
 # order-adapted finite-difference steps: truncation shrinks with h while
 # roundoff grows like eps / h^order, so one step cannot serve all orders
@@ -138,18 +139,32 @@ def test_fd_mixed_2d(rng_np):
 
 def test_bump_against_high_precision_oracle():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
 
-    def profile(t):
-        t = mp.mpf(t)
-        return mp.e * mp.exp(-1 / (1 - t * t)) if abs(t) < 1 else mp.mpf(0)
+    def profile(*z):
+        s = sum(mp.mpf(x) ** 2 for x in z)
+        return mp.e * mp.exp(-1 / (1 - s)) if s < 1 else mp.mpf(0)
 
-    f = Bump((0.0,), 1.0, (1.0,))
-    for d in range(1, BUMP_MAX_DERIV_ORDER + 1):
-        for t in (0.0, 0.3, -0.55, 0.8):
-            got = f.eval_partial([t], (d,))[0]
-            want = float(mp.diff(profile, t, d))
-            assert abs(got - want) <= 1e-10 * (1 + abs(want))
+    # the unit bump in 1-D, and every partial of order <= 4 in 2-D at |z|
+    # from 0 to 0.97, where the factors u = 1/(1 - |z|^2) reach about 17
+    cases = [((t,), (d,)) for d in range(1, BUMP_MAX_DERIV_ORDER + 1)
+             for t in (0.0, 0.3, -0.55, 0.8)]
+    points = [(0.0, 0.0), (0.0, 0.97)] + [
+        (r * math.cos(2.1 * i), r * math.sin(2.1 * i))
+        for i, r in enumerate((0.2, 0.45, 0.6, 0.8, 0.9, 0.95), start=1)]
+    cases += [(z, a) for a in multi_indices(2, BUMP_MAX_DERIV_ORDER) for z in points]
+    assert len(cases) == 16 + 15 * 8
+    with mp.workdps(40):
+        for z, a in cases:
+            f = Bump((0.0,) * len(z), 1.0, (1.0,))
+            got = f.eval_partial(list(z), a)[0]
+            want = float(mp.diff(profile, z, a))
+            if abs(want) > 1e-12:
+                assert abs(got - want) <= 1e-12 * abs(want), (z, a)
+            else:
+                assert abs(got) <= 1e-12, (z, a)
+            if any(x == 0.0 and n % 2 for x, n in zip(z, a)):
+                # an odd partial on an axis through the centre is exactly +0.0
+                assert got == 0.0 and not np.signbit(got), (z, a)
 
 
 def test_box_and_grid():

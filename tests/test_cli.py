@@ -218,6 +218,27 @@ def test_non_finite_json_numbers_are_schema_errors(capsys, argv, constant):
                             f"not valid JSON (non-finite number {constant})\n")
 
 
+def test_invalid_json_argument_is_a_schema_error(capsys):
+    assert run(["seminorm", "--field", '{"m": 1,']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grflab: schema error at /: not valid JSON (")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "directory"])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, target):
+    # a missing directory fails to make the temporary file; a directory as
+    # the target fails to replace it, which removes the temporary file
+    (tmp_path / "directory").mkdir()
+    assert run(["seminorm", "--field", FIELD_T, "--output", str(tmp_path / target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grflab: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.rglob("*")) == [tmp_path / "directory"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         run(["no-such-command"])

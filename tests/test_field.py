@@ -285,6 +285,22 @@ def test_windowed_design_at_any_points(case, a):
     assert np.array_equal(design.toarray(), _per_function_design(field, pts, (a,)))
 
 
+def test_windowed_design_is_refused_above_the_entry_budget(monkeypatch):
+    # windows of 5 and 3 of the 5 grid points: 8 entries to store
+    field = kl_field([Bump((0.5,), 1.0, (1.0,)), Bump((0.5,), 0.3, (1.0,))])
+    pts = grid_points(unit_interval(4))
+    monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 8)
+    assert _design(field, pts, (1,)).shape == (2, 5)
+
+    def unreachable(*args):
+        raise AssertionError("bump values were computed for a refused design")
+
+    monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 7)
+    monkeypatch.setattr(grflab.field, "bump_partial", unreachable)
+    with pytest.raises(MemoryError, match="design of 8 entries exceeds"):
+        _design(field, pts, (1,))
+
+
 @pytest.fixture
 def no_densification(monkeypatch):
     """Make every scipy.sparse ``toarray`` and ``todense`` raise."""

@@ -98,6 +98,25 @@ def test_kernel_distance_examples():
         assert abs(got - 1.0 / d) < 1e-12
 
 
+def _empty_field_cases():
+    yield kernel_of(mixed_field()), unit_interval(64), 2
+    bumps = [Bump((c,), 0.05 + 0.01 * i, (1.0 - 0.2 * i,)) for i, c in enumerate((0.2, 0.5, 0.6))]
+    yield kernel_of(kl_field(bumps, [0.9, 1.2, 0.7])), unit_interval(400), 2
+    yield ClosedFormKernel("exp_dot"), unit_interval(64), 2
+    harmonics = [Harmonic((1.5, -2.0), 0.3, (1.0,)), Harmonic((0.4, 2.5), 1.1, (0.8,))]
+    yield kernel_of(kl_field(harmonics, [1.1, 0.6])), box([-1.0, -1.0], [0.5, 0.5], 8), 1
+
+
+@pytest.mark.parametrize("K, b, r", list(_empty_field_cases()))
+def test_distance_to_an_empty_field_is_the_seminorm(K, b, r):
+    # no shortcut: the pair scan stacks the empty expansion's all-zero block
+    spec = KernelSeminormSpec(b, r)
+    zero = kernel_of(kl_field([], m=K.m, k=K.k))
+    scale = kernel_seminorm(K, spec)
+    for pair in ((K, zero), (zero, K)):
+        assert abs(kernel_distance(*pair, spec) - scale) <= 1e-12 * scale
+
+
 def test_kernel_distance_triangle(rng_np):
     spec = KernelSeminormSpec(unit_interval(32), 1)
     def rand_kernel():
