@@ -44,16 +44,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json_arg(value: str):
     """Accept a path to a JSON file or inline JSON text."""
-    text = value
-    path = Path(value)
+    unread = None
     try:
-        if path.exists() and path.is_file():
-            text = path.read_text()
-    except OSError:
-        pass
+        with open(value) as handle:  # Path("") would read "." and name it
+            text = handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the text
+        text, unread = value, exc
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
+        if unread and not value.lstrip().startswith(("{", "[")):
+            raise unread  # neither a readable file nor JSON text: name the path
         raise SchemaError(f"not valid JSON ({exc})")
 
 
@@ -121,47 +122,30 @@ def _write_report(report: dict, table: list[list], args) -> None:
         raise
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default="-", help="report path, '-' for stdout")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="grflab",
-                     description="Gaussian random field laboratory: finite "
-                                 "Karhunen-Loeve ensembles, covariance kernels, "
-                                 "jet certificates, Monte Carlo studies.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="draw Karhunen-Loeve sample paths on a box grid")
+def _sample_args(p):
     p.add_argument("--field", required=True, help="field JSON (path or inline)")
     p.add_argument("--box", help="box JSON (path or inline)")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("covariance",
-                       help="evaluate a covariance kernel at point pairs")
+
+def _covariance_args(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kernel", help="kernel JSON (path or inline)")
     g.add_argument("--field", help="field JSON; uses its induced kernel")
     p.add_argument("--points", required=True,
                    help="JSON list of [p, q] point pairs")
-    _add_output_flags(p)
 
-    p = sub.add_parser("seminorm",
-                       help="mixed (r, r) sup seminorm of a kernel on a box grid")
+
+def _seminorm_args(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kernel")
     g.add_argument("--field")
     p.add_argument("--order", type=int, default=0)
     p.add_argument("--box")
-    _add_output_flags(p)
 
-    p = sub.add_parser("jet-scan",
-                       help="jet covariance nondegeneracy certificate at every "
-                            "grid point (full support of the jet, hence "
-                            "almost-sure transversality)")
+
+def _jet_scan_args(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kernel")
     g.add_argument("--field")
@@ -170,48 +154,38 @@ def build_parser() -> _Parser:
     p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--require-pass", action="store_true",
                    help="exit 2 unless every point passes")
-    _add_output_flags(p)
 
-    p = sub.add_parser("estimate",
-                       help="Monte Carlo probability of a path event")
+
+def _estimate_args(p):
     p.add_argument("--field", required=True)
     p.add_argument("--event", required=True, help="event JSON (path or inline)")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("gauss-ratio",
-                       help="ratio of the mean sup-norm to the root kernel "
-                            "seminorm (the Gaussian sup-norm inequality)")
+
+def _gauss_ratio_args(p):
     p.add_argument("--field", required=True)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--box")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("limit-study",
-                       help="kernel distances versus event probabilities along "
-                            "a sequence of fields with a limit field")
+
+def _limit_study_args(p):
     p.add_argument("--config", required=True, help="limit study JSON")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("counterexample",
-                       help="disjoint-bump ensemble report: quantile scale, "
-                            "exact small-sup-norm probability, Monte Carlo "
-                            "check, kernel sup decay")
+
+def _counterexample_args(p):
     p.add_argument("--n", type=int, nargs="+", default=[5])
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=int, default=256,
                    help="base grid resolution (rounded up to align bump centers)")
-    _add_output_flags(p)
 
-    p = sub.add_parser("validate",
-                       help="symmetry and positive-semidefiniteness checks of a "
-                            "covariance kernel on grid points")
+
+def _validate_args(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kernel")
     g.add_argument("--field")
@@ -219,8 +193,25 @@ def build_parser() -> _Parser:
     p.add_argument("--points", help="JSON list of points (overrides --box grid)")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-points", type=int, default=16)
-    _add_output_flags(p)
 
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of `command` alone.
+
+    Building all nine subparsers takes about 2 ms, so `run` builds only the one
+    its argv names; help, usage errors and parsed arguments are the same.
+    """
+    parser = _Parser(prog="grflab",
+                     description="Gaussian random field laboratory: finite "
+                                 "Karhunen-Loeve ensembles, covariance kernels, "
+                                 "jet certificates, Monte Carlo studies.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, _) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--output", default="-", help="report path, '-' for stdout")
     return parser
 
 
@@ -401,24 +392,39 @@ def _cmd_validate(args):
     return report, _table(rows), 0 if passed else _VALIDATION_EXIT
 
 
-_COMMANDS = {
-    "sample": _cmd_sample,
-    "covariance": _cmd_covariance,
-    "seminorm": _cmd_seminorm,
-    "jet-scan": _cmd_jet_scan,
-    "estimate": _cmd_estimate,
-    "gauss-ratio": _cmd_gauss_ratio,
-    "limit-study": _cmd_limit_study,
-    "counterexample": _cmd_counterexample,
-    "validate": _cmd_validate,
+# name -> (help text, argument builder, body)
+_SUBCOMMANDS = {
+    "sample": ("draw Karhunen-Loeve sample paths on a box grid",
+               _sample_args, _cmd_sample),
+    "covariance": ("evaluate a covariance kernel at point pairs",
+                   _covariance_args, _cmd_covariance),
+    "seminorm": ("mixed (r, r) sup seminorm of a kernel on a box grid",
+                 _seminorm_args, _cmd_seminorm),
+    "jet-scan": ("jet covariance nondegeneracy certificate at every grid point "
+                 "(full support of the jet, hence almost-sure transversality)",
+                 _jet_scan_args, _cmd_jet_scan),
+    "estimate": ("Monte Carlo probability of a path event",
+                 _estimate_args, _cmd_estimate),
+    "gauss-ratio": ("ratio of the mean sup-norm to the root kernel seminorm "
+                    "(the Gaussian sup-norm inequality)",
+                    _gauss_ratio_args, _cmd_gauss_ratio),
+    "limit-study": ("kernel distances versus event probabilities along a "
+                    "sequence of fields with a limit field",
+                    _limit_study_args, _cmd_limit_study),
+    "counterexample": ("disjoint-bump ensemble report: quantile scale, exact "
+                       "small-sup-norm probability, Monte Carlo check, kernel "
+                       "sup decay", _counterexample_args, _cmd_counterexample),
+    "validate": ("symmetry and positive-semidefiniteness checks of a "
+                 "covariance kernel on grid points", _validate_args, _cmd_validate),
 }
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        report, table, code = _COMMANDS[args.command](args)
+        report, table, code = _SUBCOMMANDS[args.command][2](args)
         _write_report(report, table, args)
     except SchemaError as exc:
         print(f"grflab: schema error at {exc.pointer}: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from grflab import cli
 from grflab.cli import run
 
 FIELD_AFFINE = json.dumps({
@@ -226,6 +228,19 @@ def test_invalid_json_argument_is_a_schema_error(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                          ("directory", "Is a directory"),
+                                          ("", "No such file or directory")])
+def test_unreadable_path_argument_is_an_error_naming_it(tmp_path, capsys, name, reason):
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / name) if name else ""
+    assert run(["seminorm", "--field", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grflab: error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err and repr(path) in captured.err
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "directory"])
 def test_unwritable_output_is_one_error_line(tmp_path, capsys, target):
     # a missing directory fails to make the temporary file; a directory as
@@ -253,6 +268,63 @@ def test_every_subcommand_has_help(capsys):
             run([cmd, "--help"])
         assert info.value.code == 0
         assert len(capsys.readouterr().out) > 50
+
+
+TYPICAL_ARGV = {
+    "sample": ["--field", FIELD_T, "--samples", "3", "--seed", "4"],
+    "covariance": ["--kernel", FIELD_T, "--points", "[[0, 1]]", "--format", "csv"],
+    "seminorm": ["--field", FIELD_T, "--order", "1", "--box", "{}"],
+    "jet-scan": ["--field", FIELD_T, "--rel-tol", "1e-6", "--require-pass"],
+    "estimate": ["--field", FIELD_T, "--event", EVENT_SUP, "--output", "out.json"],
+    "gauss-ratio": ["--field", FIELD_T, "--order", "0", "--samples", "10"],
+    "limit-study": ["--config", "study.json", "--seed", "2"],
+    "counterexample": ["--n", "3", "5", "--resolution", "64"],
+    "validate": ["--kernel", FIELD_T, "--tol", "1e-8", "--max-points", "4"],
+}
+
+
+def test_one_command_parser_parses_as_the_full_parser():
+    assert list(TYPICAL_ARGV) == list(cli._SUBCOMMANDS)
+    full = cli.build_parser()
+    for command, rest in TYPICAL_ARGV.items():
+        argv = [command, *rest]
+        assert cli.build_parser(command).parse_args(argv) == full.parse_args(argv)
+
+
+def _outcome(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["-h"], ["jet-scan"], ["jet-scan", "-h"],
+    ["jet-scan", "--field", "{}", "--bogus"],
+    ["seminorm", "--field", "x", "--order", "abc"], ["seminorm", "--field", FIELD_T, "extra"],
+    ["validate", "--field", FIELD_T, "--kernel", FIELD_T], ["sample", "--field", FIELD_T],
+])
+def test_run_prints_the_same_with_the_full_parser(monkeypatch, capsys, argv):
+    one_command = _outcome(argv, capsys)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert _outcome(argv, capsys) == one_command
+
+
+def test_run_builds_only_the_named_subparser(monkeypatch, capsys):
+    # all nine subparsers cost about 2 ms, paid by every command in a fresh process
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: calls.append(name) or add_parser(self, name, **kw))
+    assert run(["seminorm", "--field", FIELD_T]) == 0
+    assert calls == ["seminorm"]
+    calls.clear()
+    with pytest.raises(SystemExit):
+        run(["-h"])
+    assert calls == list(cli._SUBCOMMANDS) and len(calls) == 9
 
 
 def test_import_loads_no_unused_scipy_subpackages(tmp_path):
