@@ -51,16 +51,19 @@ def _load_json_arg(value: str):
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the text
         text, unread = value, exc
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_finite, parse_float=_finite,
+                          parse_int=lambda digits: _finite(digits, int))
     except json.JSONDecodeError as exc:
         if unread and not value.lstrip().startswith(("{", "[")):
             raise unread  # neither a readable file nor JSON text: name the path
         raise SchemaError(f"not valid JSON ({exc})")
 
 
-def _reject_constant(name: str):
-    # json.loads accepts NaN and +-Infinity, which no schema rule can bound
-    raise SchemaError(f"not valid JSON (non-finite number {name})")
+def _finite(text: str, cast=float):
+    # json.loads accepts NaN, +-Infinity and overflowing numbers; no schema rule bounds them
+    if not abs(float(text)) < np.inf:  # NaN fails the comparison too
+        raise SchemaError(f"not valid JSON (non-finite number {text})")
+    return cast(text)
 
 
 def _is_point(p) -> bool:
@@ -69,8 +72,7 @@ def _is_point(p) -> bool:
 
 
 def _field_from_arg(value: str):
-    doc = _load_json_arg(value)
-    return field_from_dict(doc)
+    return field_from_dict(_load_json_arg(value))
 
 
 def _kernel_from_args(args):
@@ -101,7 +103,7 @@ def _table(rows: list[dict]) -> list[list]:
 
 def _write_report(report: dict, table: list[list], args) -> None:
     if args.format == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         if len(table) > 1:  # a header alone is not written
@@ -424,12 +426,13 @@ def run(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        report, table, code = _SUBCOMMANDS[args.command][2](args)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # an error, not a warning
+            report, table, code = _SUBCOMMANDS[args.command][2](args)
         _write_report(report, table, args)
     except SchemaError as exc:
         print(f"grflab: schema error at {exc.pointer}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (GrflabError, ValueError, OSError, MemoryError) as exc:
+    except (GrflabError, ValueError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"grflab: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     return code

@@ -47,8 +47,8 @@ class KLField:
             raise ValueError("need m >= 1 and k >= 1")
         if len(self.basis) != len(self.sigmas):
             raise ValueError("need one sigma per basis function")
-        if any(s <= 0 for s in self.sigmas):
-            raise ValueError("sigmas must be positive")
+        if not all(0 < s < np.inf for s in self.sigmas):
+            raise ValueError("sigmas must be finite and positive")
         for f in self.basis:
             if (f.m, f.k) != (self.m, self.k):
                 raise ValueError("all basis functions must share (m, k)")
@@ -230,19 +230,6 @@ def box_design(field: KLField, b: Box, alpha: MultiIndex):
     for arr in (design.data, design.indices, design.indptr) if sp.issparse(design) else (design,):
         arr.setflags(write=False)
     return design
-
-
-def _stacked(designs, transpose: bool = False):
-    """The designs stacked vertically, or that stack transposed; sparse when any design is.
-
-    Row blocks of the result slice cheaply: a sparse stack to be transposed
-    is built column-major, any other row-major.
-    """
-    if any(sp.issparse(d) for d in designs):
-        stack = sp.vstack(designs, format="csc" if transpose else "csr")
-    else:
-        stack = np.vstack(designs)
-    return stack.T if transpose else stack
 
 
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:

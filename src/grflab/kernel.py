@@ -11,20 +11,20 @@ hand-derived derivative formulas.
 Seminorms are sup-norms of mixed partials up to the requested order,
 approximated on the box grid.  Grid values are exact, so the result is a
 lower bound of the true sup that is sharp whenever the extrema lie on grid
-points (the validation suites only use kernels where they do).  A kernel's
-own seminorm is the largest diagonal entry d_alpha d_alpha K(x, x): by
-Cauchy-Schwarz no pair (x, y) exceeds it, so this is the exact grid sup over
-all pairs.  A distance between two kernels is the seminorm of a difference,
-which is not positive semidefinite, so distances stay pair scans.
+points (the validation suites only use kernels where they do).  Seminorms
+and distances are one reduction over a signed sum of kernels whose terms are
+merged first, so shared terms cancel exactly.  A one-sign sum is plus or
+minus a covariance, whose sup by Cauchy-Schwarz is its largest diagonal
+entry; only a sum of mixed signs is scanned pair by pair.
 
 Expansion kernels read their designs from :mod:`grflab.field`, which alone
-decides whether one is sparse (bump fields) or dense; the products and
-reductions here are written once for both forms.
+decides whether one is sparse (bump fields); code here is written for both.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Union
@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import _TILE_ENTRIES, KLField, _blocks, _dense, _design, _stacked, box_design
+from .field import _TILE_ENTRIES, KLField, _blocks, _dense, _design, box_design
 from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
@@ -191,75 +191,84 @@ def _closed_form_values(K: ClosedFormKernel, X: np.ndarray, Y: np.ndarray,
 # seminorms and distances
 # ---------------------------------------------------------------------------
 
-def _scaled_designs(field: KLField, b: Box, alphas):
-    """Designs multiplied by sigma, so gram products carry sigma^2."""
-    sig = field.sigma_array[:, None]
-    return {a: sig * box_design(field, b, a) for a in alphas}
+def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
+    """Grid sup of |d_alpha d_beta sum c*K| over all pairs and |alpha|, |beta| <= order.
 
-
-def kernel_seminorm(K: CovarianceKernel, spec: KernelSeminormSpec) -> float:
-    """Grid sup of |d_(alpha,beta) K| over all |alpha|, |beta| <= order.
-
-    d_alpha d_beta K(x, y) = E[d^alpha X(x) d^beta X(y)], so by Cauchy-Schwarz
-    no entry exceeds the larger of the variances d_alpha d_alpha K(x, x) and
-    d_beta d_beta K(y, y): the sup over all grid pairs is the largest
-    diagonal entry, which is read off without forming any pair block.
+    A basis function appears once, with weight w = sum of c*sigma^2 over the
+    fields that hold it and row scale sqrt|w| (sigma for a term one field
+    holds), a closed-form kernel once, with the sum of its c; zero weights
+    drop out.  A lone field is read as it is, from its cached designs.  Mixed
+    signs scan ``(sqrt|w| f)^T (sign(w) sqrt|w| f)`` in dense row tiles of
+    ``_TILE_ENTRIES`` (upper triangle if alpha = beta) or whole windowed
+    blocks, so last bits depend on the tile size, never on run or cores.
     """
-    if spec.box.m != K.m:
+    if spec.box.m != signed[0][1].m:
         raise ValueError("box dimension does not match the kernel")
-    alphas = multi_indices(K.m, spec.order)
-    if isinstance(K, KLKernel):
-        # squares of sigma-scaled rows, as the Gram entries form them
-        diags = [(s * s).sum(axis=0)
-                 for s in _scaled_designs(K.field, spec.box, alphas).values()]
+    fields = [(c, K.field) for c, K in signed if isinstance(K, KLKernel) and K.field.size]
+    if len(fields) == 1:
+        (c, field), = fields
+        signs = np.full(field.size, c)
     else:
-        pts = grid_points(spec.box)
-        diags = [eval_kernel_deriv_pairs(K, pts, pts, a, a) for a in alphas]
-    return max(float(d.max()) for d in diags)
-
-
-def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
-                    spec: KernelSeminormSpec) -> float:
-    """Seminorm of the pointwise difference of two kernels.
-
-    A difference of kernels is not positive semidefinite, so unlike
-    :func:`kernel_seminorm` this scans every point pair: a dense pair block
-    in row tiles of ``_TILE_ENTRIES`` that stay in L2 from product to max,
-    only the upper triangle of a diagonal pair (alpha = beta), a windowed
-    one in whole blocks.  A result's last bits depend on the tile size,
-    never on the run or the core count.
-    """
-    if K1.k != K2.k or K1.m != K2.m:
-        raise ValueError("kernels must share (m, k)")
-    if spec.box.m != K1.m:
-        raise ValueError("box dimension does not match the kernel")
-    if K1 == K2:
-        return 0.0
-    alphas = multi_indices(K1.m, spec.order)
+        merged = Counter()
+        for c, kl in fields:
+            own = Counter()  # a term repeated in one field sums its own sigma^2 first
+            for f, s in zip(kl.basis, kl.sigmas):
+                own[f] += s * s
+            merged.update({f: c * w for f, w in own.items()})
+        terms = {f: w for f, w in merged.items() if w}
+        field = KLField(tuple(terms), tuple(math.sqrt(abs(w)) for w in terms.values()),
+                        signed[0][1].m, signed[0][1].k)
+        signs = np.sign(list(terms.values()))
+    closed = dict.fromkeys(K for _, K in signed if isinstance(K, ClosedFormKernel))
+    closed = [(w, K) for K in closed if (w := sum(c for c, J in signed if J == K))]
+    alphas = multi_indices(field.m, spec.order)
     pts = grid_points(spec.box)
-    signed = ((1.0, K1), (-1.0, K2))
-    kl = [(c, _scaled_designs(K.field, spec.box, alphas)) for c, K in signed
-          if isinstance(K, KLKernel)]
-    closed = [(c, K) for c, K in signed if isinstance(K, ClosedFormKernel)]
-    # the KL part is one product per block:
-    # [s1_a; s2_a]^T [s1_b; -s2_b] = s1_a^T s1_b - s2_a^T s2_b
-    left = {a: _stacked([d[a] for _, d in kl], transpose=True) for a in alphas} if kl else {}
-    right = {a: _stacked([c * d[a] for c, d in kl]) for a in alphas} if kl else {}
-    side = spec.box.n_grid_points * K1.k
-    dense = not kl or isinstance(right[alphas[0]], np.ndarray)
+    scale = field.sigma_array[:, None]
+    designs = {a: box_design(field, spec.box, a) for a in alphas}
+    right = {a: signs[:, None] * scale * d for a, d in designs.items()}
+    weights = np.r_[signs, [c for c, _ in closed]]
+    if (weights > 0).all() or (weights < 0).all():
+        # squares of scaled rows, as the pair products form them
+        return max(float(((s * s).sum(axis=0) + sum(
+            abs(c) * eval_kernel_deriv_pairs(K, pts, pts, a, a).ravel()
+            for c, K in closed)).max()) for a, s in right.items())
+    side = spec.box.n_grid_points * field.k
+    dense = isinstance(right[alphas[0]], np.ndarray)
     best = 0.0
     for a, b in combinations_with_replacement(alphas, 2):
         for rows in _blocks(side, side, _TILE_ENTRIES if dense else None):
             # a diagonal pair's block is symmetric: columns before the tile's first
             # row repeat earlier tiles' rows (a sparse column slice is a copy)
             start = rows.start if dense and a == b else 0
-            block = left[a][rows] @ (right[b][:, start:] if start else right[b]) if kl else 0.0
+            # the tile's rows of the left factor: a column block of the design, scaled
+            block = (scale * designs[a][:, rows]).T @ (right[b][:, start:] if start else right[b])
             for c, K in closed:
                 block = block + c * _closed_form_block(K, pts[rows], pts[start:], a, b)
             # max |entry| without an abs temporary; a sparse block's max and
             # min count its implicit zeros, also when it stores none
             best = max(best, float(block.max()), -float(block.min()))
     return best
+
+
+def kernel_seminorm(K: CovarianceKernel, spec: KernelSeminormSpec) -> float:
+    """Grid sup of |d_(alpha,beta) K| over all |alpha|, |beta| <= order.
+
+    d_alpha d_beta K(x, y) = E[d^alpha X(x) d^beta X(y)] is by Cauchy-Schwarz
+    at most the larger variance, so the sup is the largest diagonal entry.
+    """
+    return _signed_sup(((1.0, K),), spec)
+
+
+def kernel_distance(K1: CovarianceKernel, K2: CovarianceKernel,
+                    spec: KernelSeminormSpec) -> float:
+    """Seminorm of K1 - K2: shared terms cancel exactly, equal kernels give 0.0.
+
+    A one-sign rest, such as a field against its truncation, is read off the
+    diagonal as in :func:`kernel_seminorm`; only mixed signs scan every pair.
+    """
+    if K1.k != K2.k or K1.m != K2.m:
+        raise ValueError("kernels must share (m, k)")
+    return _signed_sup(((1.0, K1), (-1.0, K2)), spec)
 
 
 # ---------------------------------------------------------------------------

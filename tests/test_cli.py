@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,9 @@ FIELD_NAN_SIGMA = ('{"m": 1, "k": 1, "basis": [{"type": "monomial", "exponents":
                    '"amplitude": [1.0]}], "sigmas": [NaN, 1]}')
 FIELD_NAN_RADIUS = ('{"m": 1, "k": 1, "basis": [{"type": "bump", "center": [0.5], '
                     '"radius": NaN, "amplitude": [1.0]}]}')
+HUGE = "1" + "0" * 400  # a JSON integer beyond a double's range
+FIELD_HUGE_SIGMA = FIELD_NAN_SIGMA.replace("NaN", HUGE)
+FIELD_HUGE_EXPONENT = FIELD_T.replace('"exponents": [1]', f'"exponents": [{HUGE}]')
 
 
 @pytest.mark.parametrize("argv, constant", [
@@ -211,6 +215,10 @@ FIELD_NAN_RADIUS = ('{"m": 1, "k": 1, "basis": [{"type": "bump", "center": [0.5]
     (["seminorm", "--field", FIELD_T, "--box", '{"lower": [0], "upper": [Infinity]}'],
      "Infinity"),
     (["validate", "--field", FIELD_T, "--points", "[[0.1], [-Infinity]]"], "-Infinity"),
+    (["seminorm", "--field", FIELD_T, "--box", '{"lower": [0], "upper": [1e999]}'], "1e999"),
+    (["validate", "--field", FIELD_T, "--points", "[[0.1], [-1.5e400]]"], "-1.5e400"),
+    pytest.param(["seminorm", "--field", FIELD_HUGE_SIGMA], HUGE, id="huge-sigma"),
+    pytest.param(["jet-scan", "--field", FIELD_HUGE_EXPONENT], HUGE, id="huge-exponent"),
 ])
 def test_non_finite_json_numbers_are_schema_errors(capsys, argv, constant):
     assert run(argv) == 1
@@ -218,6 +226,26 @@ def test_non_finite_json_numbers_are_schema_errors(capsys, argv, constant):
     assert captured.out == ""
     assert captured.err == ("grflab: schema error at /: "
                             f"not valid JSON (non-finite number {constant})\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_overflowed_result_is_one_error_line_and_no_file(tmp_path, capsys, fmt):
+    # K = (1e200 t)^2 overflows
+    field = FIELD_T.replace('"amplitude": [1.0]', '"amplitude": [1e200]')
+    out = tmp_path / "report"
+    assert run(["seminorm", "--field", field, "--format", fmt, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grflab: error: overflow encountered in multiply\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_json_report_refuses_non_finite_numbers(tmp_path):
+    args = argparse.Namespace(format="json", output=str(tmp_path / "report.json"))
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_report({"seminorm": value}, [], args)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_json_argument_is_a_schema_error(capsys):

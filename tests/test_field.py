@@ -38,6 +38,12 @@ def test_field_needs_positive_dimensions(m, k):
         kl_field([], m=m, k=k)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_field_refuses_non_finite_and_non_positive_sigmas(sigma):
+    with pytest.raises(ValueError, match="sigmas must be finite and positive"):
+        kl_field([ONE, T], [1.0, sigma])
+
+
 def test_constant_field_variance():
     f = kl_field([ONE])
     coeffs = sample_batch_coeffs(f, 0, np.arange(100_000))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -108,13 +110,52 @@ def _empty_field_cases():
 
 
 @pytest.mark.parametrize("K, b, r", list(_empty_field_cases()))
-def test_distance_to_an_empty_field_is_the_seminorm(K, b, r):
-    # no shortcut: the pair scan stacks the empty expansion's all-zero block
+def test_distance_to_an_empty_field_is_the_seminorm(monkeypatch, K, b, r):
+    # one sign: the distance is read off the diagonal, with no pair block
     spec = KernelSeminormSpec(b, r)
     zero = kernel_of(kl_field([], m=K.m, k=K.k))
     scale = kernel_seminorm(K, spec)
+    calls = _spy_blocks(monkeypatch)
     for pair in ((K, zero), (zero, K)):
         assert abs(kernel_distance(*pair, spec) - scale) <= 1e-12 * scale
+    assert calls == []
+
+
+def _truncation_cases():
+    """(field, n): the field against its first n terms, in 1-D and 2-D."""
+    for d in (1e4, 1e6, 1e8):
+        yield kl_field([ONE, Monomial((1,), (1.0 / d,))]), 1, unit_interval(16)
+        yield (kl_field([Monomial((0, 0), (1.0,)), Monomial((1, 0), (1.0 / d,))]), 1,
+               box([0.0, 0.0], [1.0, 1.0], 4))
+    rng = np.random.default_rng(3)
+    sigmas = 0.5 ** np.arange(40)
+    waves = [Harmonic((float(w),), float(p), (1.0,))
+             for w, p in zip(rng.uniform(0.5, 12.0, 40), rng.uniform(0, 6.3, 40))]
+    for n in (20, 30):
+        yield kl_field(waves, sigmas), n, unit_interval(64)
+    plane = [Harmonic(tuple(rng.uniform(-8.0, 8.0, 2)), float(p), (1.0,))
+             for p in rng.uniform(0, 6.3, 40)]
+    for n in (20, 30):
+        yield kl_field(plane, sigmas), n, box([0.0, 0.0], [1.0, 1.0], 23)
+    bumps = [Bump((float(c),), float(rad), (1.0,))
+             for c, rad in zip(rng.uniform(0, 1, 60), rng.uniform(0.02, 0.08, 60))]
+    yield kl_field(bumps, rng.uniform(0.3, 1.5, 60)), 40, unit_interval(400)
+
+
+@pytest.mark.parametrize("field, n, b", list(_truncation_cases()))
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_distance_to_a_truncation_is_the_tail_seminorm(monkeypatch, field, n, b, r):
+    """Shared terms cancel exactly, so the distance is the tail's own seminorm,
+    however small it is against the kernels' size; the tail has one sign, so
+    no pair block is formed."""
+    spec = KernelSeminormSpec(b, r)
+    head = kernel_of(kl_field(field.basis[:n], field.sigmas[:n]))
+    tail = kernel_seminorm(kernel_of(kl_field(field.basis[n:], field.sigmas[n:])), spec)
+    assert tail > 0.0
+    calls = _spy_blocks(monkeypatch)
+    for pair in ((kernel_of(field), head), (head, kernel_of(field))):
+        assert abs(kernel_distance(*pair, spec) - tail) <= 1e-12 * tail
+    assert calls == []
 
 
 def test_kernel_distance_triangle(rng_np):
@@ -388,12 +429,12 @@ def _spy_blocks(monkeypatch):
 
 
 def _tiny_and_whole_tiles(monkeypatch):
-    """Run each case with one-row tiles, then one tile per pair block."""
+    """Run each case with one-row tiles, then one tile per pair block; yield the spied calls."""
     calls = _spy_blocks(monkeypatch)
     for budget, one_row in ((1, True), (grflab.field._BLOCK_ENTRIES, False)):
         monkeypatch.setattr(grflab.kernel, "_TILE_ENTRIES", budget)
         calls.clear()
-        yield
+        yield calls
         assert calls
         assert all(len(c) == (c[-1].stop if one_row else 1) for c in calls)
 
@@ -416,6 +457,10 @@ def _tile_cases():
            kernel_of(kl_field([Harmonic((-1.0,), 0.9, (1.0,))])), box(0.0, 1.0, 4), 1)
     yield kernel_of(kl_field(_harmonic_terms(1, 3))), ClosedFormKernel("exp_dot", 2), b, 2
     yield ClosedFormKernel("affine_dot", 2), ClosedFormKernel("exp_dot", 2), b, 2
+    # shared terms, one with equal and one with different sigmas: the rest has mixed signs
+    terms = _harmonic_terms(2, 5)
+    yield (kernel_of(kl_field(terms[:3], [1.0, 0.8, 1.3])),
+           kernel_of(kl_field(terms[1:], [0.9, 1.3, 0.6])), b, 2)
 
 
 @pytest.mark.parametrize("case", list(_tile_cases()))
@@ -425,10 +470,14 @@ def test_distance_tiles_match_the_pair_max(monkeypatch, case):
     spec = KernelSeminormSpec(b, r)
     ref = _brute_pair_max(K1, b, r, minus=K2)
     scale = max(ref, kernel_seminorm(K1, spec), kernel_seminorm(K2, spec))
-    for _ in _tiny_and_whole_tiles(monkeypatch):
+    for calls in _tiny_and_whole_tiles(monkeypatch):
         assert abs(kernel_distance(K1, K2, spec) - ref) <= 1e-12 * scale
         assert abs(kernel_distance(K2, K1, spec) - ref) <= 1e-12 * scale
+        # equal kernels, also from separate objects, cancel to an empty sum
+        n_calls = len(calls)
         assert kernel_distance(K1, K1, spec) == 0.0
+        assert kernel_distance(K2, copy.deepcopy(K2), spec) == 0.0
+        assert len(calls) == n_calls
 
 
 def test_windowed_sparse_seminorm_and_distance(monkeypatch):
