@@ -7,11 +7,10 @@ all computed exactly; Monte Carlo estimation with reproducible splittable
 streams covers the probabilistic side.
 """
 
-from .basis import (BUMP_MAX_DERIV_ORDER, BasisFunction, Box, Bump, Harmonic,
+from .basis import (BUMP_MAX_DERIV_ORDER, BasisFunction, Box, Bump, Harmonic, IntegratedBump,
                     Monomial, Scaled, box, fd_check, grid_points, unit_interval)
-from .counterexample import (CounterexampleConfig, IteratedIntegralTransform,
-                             a_n, build_X_n, build_Y_n, exact_small_norm_prob,
-                             kernel_sup_decay)
+from .counterexample import (CounterexampleConfig, a_n, build_X_n, build_Y_n,
+                             exact_small_norm_prob, kernel_sup_decay)
 from .exceptions import (DomainError, GrflabError, IllConditionedError,
                          OrderUnsupportedError, SchemaError)
 from .field import (KLField, SamplePath, SupportBasisFunction, cm_inner,

@@ -1,13 +1,14 @@
 """Closed-form basis functions with exact partial derivatives.
 
-Three families are supported (plus scalar rescaling): monomials, harmonics
-``amplitude * cos(<freq, x> + phase)`` and radial bumps
+Four families are supported (plus scalar rescaling): monomials, harmonics
+``amplitude * cos(<freq, x> + phase)``, radial bumps
 
     amplitude * exp(1 - 1/(1 - |(x - c)/rho|^2))      inside |x - c| < rho,
     0                                                 outside,
 
-normalized to peak value ``|amplitude|`` at the center.  All evaluations
-and derivative evaluations are pure closed forms, so downstream covariance
+normalized to peak value ``|amplitude|`` at the center, and the r-fold
+antiderivatives of 1-D bumps.  All evaluations and derivative evaluations
+are closed forms or one fixed quadrature rule, so downstream covariance
 and jet computations are analytic rather than numeric.
 
 Bump derivatives come from two closed forms.  With ``z = (x - c)/rho``,
@@ -303,6 +304,65 @@ class Bump(BasisFunction):
     def _eval_partial(self, pts, alpha):
         vals = bump_partial(pts, np.asarray(self.center, dtype=np.float64),
                             self.radius, alpha)
+        return np.outer(vals, np.asarray(self.amplitude, dtype=np.float64))
+
+
+# tanh-sinh rule, h = 1/32 on [-6, 6]: on [a, b] a node lies (b - a) * _TS_LEFT from a and
+# (b - a) * _TS_RIGHT from b, both without cancellation, and weighs (b - a) * _TS_WEIGHTS
+_TS_T = np.arange(-192, 193) / 32.0
+_TS_U = 0.5 * np.pi * np.sinh(_TS_T)
+_TS_LEFT, _TS_RIGHT = 1.0 / (1.0 + np.exp(-2.0 * _TS_U)), 1.0 / (1.0 + np.exp(2.0 * _TS_U))
+_TS_WEIGHTS = np.pi / 128.0 * np.cosh(_TS_T) / np.cosh(_TS_U) ** 2
+
+
+def _partial_moments(ends: np.ndarray, n: int) -> np.ndarray:
+    """(n, E) moments F_i(b) = int_(-1)^b s^i exp(1 - 1/(1 - s^2)) ds, i < n, b in (-1, 1]."""
+    width = (ends + 1.0)[:, None]
+    weights = width * _TS_WEIGHTS
+    arg = 1.0 - 1.0 / (width * _TS_LEFT * ((1.0 - ends)[:, None] + width * _TS_RIGHT))
+    # node terms below e^-500 are dropped, so no product underflows
+    terms = weights * np.exp(arg, out=np.zeros(arg.shape), where=arg + np.log(weights) > -500.0)
+    s = width * _TS_LEFT - 1.0
+    return np.stack([(s ** i * terms).sum(axis=1) for i in range(n)])
+
+
+@dataclass(frozen=True)
+class IntegratedBump(BasisFunction):
+    """r-fold antiderivative of a 1-D unit-peak bump, from the left end of its support.
+
+    With ``z = (x - c)/rho``, a partial of order ``j >= r`` is :class:`Bump`'s of order
+    ``j - r``.  Below ``r``, with ``q = r - j``, it is 0 for ``z <= -1``, else ``rho^q/(q-1)!
+    sum_(i<q) C(q-1, i) (-1)^i z^(q-1-i) F_i(min(z, 1))``, ``F_i`` from :func:`_partial_moments`.
+    """
+
+    center: tuple
+    radius: float
+    amplitude: tuple
+    order: int
+    m = 1
+
+    def __post_init__(self):
+        if len(self.center) != 1 or self.radius <= 0 or self.order < 1:
+            raise ValueError("an integrated bump needs a 1-D center, radius > 0 and order >= 1")
+
+    @property
+    def k(self) -> int:
+        return len(self.amplitude)
+
+    def _eval_partial(self, pts, alpha):
+        q = self.order - alpha[0]
+        if q <= 0:
+            vals = bump_partial(pts, np.asarray(self.center, dtype=np.float64), self.radius, (-q,))
+        else:
+            z = (pts[:, 0] - self.center[0]) / self.radius
+            on = z > -1.0
+            # every point right of the support has the end 1.0: its moments are formed once
+            ends, where = np.unique(np.minimum(z[on], 1.0), return_inverse=True)
+            moments = _partial_moments(ends, q)[:, where]
+            vals = np.zeros(z.size)
+            vals[on] = self.radius ** q / math.factorial(q - 1) * sum(
+                math.comb(q - 1, i) * (-1) ** i * z[on] ** (q - 1 - i) * moments[i]
+                for i in range(q))
         return np.outer(vals, np.asarray(self.amplitude, dtype=np.float64))
 
 

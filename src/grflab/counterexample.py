@@ -1,6 +1,6 @@
 """Disjoint-bump ensembles: covariances that vanish while the fields do not.
 
-For each ``n`` the field is a sum of ``n^2`` unit-peak bumps with disjoint
+For each ``n`` the field ``X_n`` is a sum of ``n^2`` unit-peak bumps with disjoint
 supports in the box, every coefficient scaled by ``1/a_n`` where ``a_n`` is
 the symmetric normal quantile with two-sided tail mass ``1/n``.  The
 kernel sup then equals ``1/a_n^2`` and decays to zero, while the sup of the
@@ -8,10 +8,10 @@ field is ``max_i |gamma_i| / a_n``, which concentrates above 1.  The small
 sup-norm probability is exactly ``(1 - 1/n)^(n^2)`` because the bumps are
 disjoint with their peaks on grid points.
 
-Integrating a path ``r`` times from a base point left of the box produces
-smooth fields whose kernels converge to zero in the mixed (r, r) seminorm
-while the fields still fail to converge in law, so convergence of kernels
-at matching order does not control convergence of the fields.
+``Y_n``, its r-fold integral (r >= 1), is the field of the r-fold antiderivatives of
+those bumps.  Its order r is ``X_n``, so its (r, r) kernel seminorm decays like 1/a_n^2
+and its grid C^r small-ball probability on the unit interval is that of ``X_n``; only
+its order-(r + 2) seminorm, the one the paper's sufficient condition uses, grows.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Box, Bump, unit_interval
-from .field import KLField, SamplePath, eval_sample, kl_field
+from .basis import Box, Bump, IntegratedBump, unit_interval
+from .field import KLField, kl_field
 from .kernel import KernelSeminormSpec, kernel_of, kernel_seminorm
 from .mc import MCEstimate, SupNormBelow, estimate_probability
 from .rng import normal_quantile
 
 GAP_FRACTION = 0.1  # fraction of each slot left empty so supports stay disjoint
-SIMPSON_STEPS = 4096  # quadrature step = box width / SIMPSON_STEPS
 
 
 @dataclass(frozen=True)
@@ -113,53 +112,11 @@ def kernel_sup_decay(n_values, base_box: Box | None = None) -> list[float]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# iterated integrals (the smooth-field variant)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IteratedIntegralTransform:
-    """Tabulated r-fold iterated integral from a base point left of the box.
-
-    ``apply`` integrates a sample path ``order`` times cumulatively on the
-    tabulation grid with composite Simpson quadrature.  The r-th
-    finite-difference derivative of the tabulation recovers the path.
-    """
-
-    grid: np.ndarray
-    step: float
-    order: int
-    base_point: float
-
-    def apply(self, path: SamplePath) -> np.ndarray:
-        # imported here, not at module level: scipy.integrate pulls in
-        # scipy.optimize and scipy.linalg, which no CLI command needs
-        from scipy.integrate import cumulative_simpson
-
-        vals = eval_sample(path, self.grid.reshape(-1, 1)).ravel()
-        for _ in range(self.order):
-            vals = cumulative_simpson(vals, dx=self.step, initial=0.0)
-        return vals
-
-
-def build_Y_n(cfg: CounterexampleConfig) -> IteratedIntegralTransform:
-    """Transform realizing the r-fold integral of ensemble paths (r >= 1)."""
-    if cfg.integration_order < 1:
-        raise ValueError("integration order must be >= 1 for the integral transform")
-    width = cfg.base_box.width(0)
-    base = cfg.base_box.lower[0] - 0.1 * width
-    step = width / SIMPSON_STEPS
-    n_steps = math.ceil((cfg.base_box.upper[0] - base) / step)
-    grid = base + step * np.arange(n_steps + 1)
-    return IteratedIntegralTransform(grid, step, cfg.integration_order, base)
-
-
-def tabulation_derivative(values: np.ndarray, step: float, r: int) -> np.ndarray:
-    """r-fold second-order finite-difference derivative of a tabulation."""
-    out = values
-    for _ in range(r):
-        out = np.gradient(out, step, edge_order=2)
-    return out
+def build_Y_n(cfg: CounterexampleConfig) -> KLField:
+    """The r-fold integral of :func:`build_X_n`, r = ``cfg.integration_order`` >= 1."""
+    x_n = build_X_n(cfg)
+    return kl_field([IntegratedBump(f.center, f.radius, f.amplitude, cfg.integration_order)
+                     for f in x_n.basis], x_n.sigmas)
 
 
 # ---------------------------------------------------------------------------

@@ -296,23 +296,13 @@ def support_basis(field: KLField, p, j: int) -> SupportBasisFunction:
 def cm_inner(field: KLField, pj, ql) -> float:
     """Reproducing inner product <h_p^j, h_q^l> = K^(j,l)(p, q).
 
-    Both sides are computed and cross-checked to 1e-12.
+    ``sum_n sigma_n^2 f_n^j(p) f_n^l(q)``: the support basis coefficients at p, the design at q.
     """
     (p, j), (q, l) = pj, ql
-    pt = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    qt = np.atleast_1d(np.asarray(q, dtype=np.float64))
-    if not (0 <= j < field.k and 0 <= l < field.k):
-        raise ValueError("component index out of range")
-    val = 0.0
-    for s, f in zip(field.sigmas, field.basis):
-        val += s * s * float(f.eval(pt)[j]) * float(f.eval(qt)[l])
-    from .kernel import eval_kernel, kernel_of  # local import: kernel builds on field
-
-    ref = float(eval_kernel(kernel_of(field), pt, qt)[j, l])
-    if abs(val - ref) > 1e-12 * (1.0 + abs(ref)):
-        raise AssertionError(
-            f"inner product {val!r} disagrees with kernel entry {ref!r}")
-    return val
+    if not 0 <= l < field.k:
+        raise ValueError(f"component {l} out of range for k={field.k}")
+    qt = np.atleast_1d(np.asarray(q, dtype=np.float64)).reshape(1, -1)
+    return float((support_basis(field, p, j).coeffs @ _design(field, qt, (0,) * field.m))[l])
 
 
 def projection_residual(field: KLField, g, b: Box) -> float:

@@ -130,15 +130,6 @@ class NondegeneracyCertificate:
     jet_dim: int
     rank_estimate: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "ratio": self.min_singular_ratio,
-            "pass": self.nondegenerate,
-            "jet_dim": self.jet_dim,
-            "rank_estimate": self.rank_estimate,
-        }
-
 
 def nondegeneracy_certificate(K: CovarianceKernel, p, r: int,
                               rel_tol: float = 1e-9) -> NondegeneracyCertificate:

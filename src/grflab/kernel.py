@@ -216,6 +216,8 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
                 own[f] += s * s
             merged.update({f: c * w for f, w in own.items()})
         terms = {f: w for f, w in merged.items() if w}
+        if not all(map(math.isfinite, terms.values())):
+            raise FloatingPointError("a kernel weight sigma^2 overflowed")
         field = KLField(tuple(terms), tuple(math.sqrt(abs(w)) for w in terms.values()),
                         signed[0][1].m, signed[0][1].k)
         signs = np.sign(list(terms.values()))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from grflab import (BUMP_MAX_DERIV_ORDER, Bump, Harmonic, Monomial,
+from grflab import (BUMP_MAX_DERIV_ORDER, Bump, Harmonic, IntegratedBump, Monomial,
                     OrderUnsupportedError, Scaled, box, fd_check, grid_points,
                     unit_interval)
+from grflab.basis import _partial_moments
 from grflab.multiindex import multi_indices
 
 # order-adapted finite-difference steps: truncation shrinks with h while
@@ -165,6 +166,45 @@ def test_bump_against_high_precision_oracle():
             if any(x == 0.0 and n % 2 for x, n in zip(z, a)):
                 # an odd partial on an axis through the centre is exactly +0.0
                 assert got == 0.0 and not np.signbit(got), (z, a)
+
+
+def test_integrated_bump_against_high_precision_oracle():
+    mp = pytest.importorskip("mpmath")
+
+    def profile(s):
+        return mp.e * mp.exp(-1 / (1 - s * s)) if abs(s) < 1 else mp.mpf(0)
+
+    # partial moments F_i(z) = int_(-1)^z s^i profile(s) ds, i <= 3, against
+    # the bump mass, from the left end to the right end of the support
+    zs = [-0.999, -0.9, -0.5, -0.1, 0.0, 0.3, 0.77, 0.999, 1 - 1e-12, 1.0]
+    with mp.workdps(40):
+        mass = float(mp.quad(profile, [-1, 1]))
+        with np.errstate(all="raise"):
+            got = _partial_moments(np.array(zs), 4)
+        for i in range(4):
+            for z, value in zip(zs, got[i]):
+                want = mp.quad(lambda s: s ** i * profile(s), [-1, z])
+                assert abs(value - float(want)) <= 1e-15 * mass, (i, z)
+        # values of order r - q = (rho^q/(q-1)!) int (z - s)^(q-1) profile(s) ds,
+        # also right of the support, where they are polynomials in z
+        for r in (1, 2, 3, 4):
+            f = IntegratedBump((0.5,), 2.0, (1.0,), r)
+            for z in (-1.5, -0.999, -0.2, 0.6, 1 - 1e-12, 1.0, 1.7, 4.0):
+                with np.errstate(all="raise"):
+                    value = f.eval([0.5 + 2.0 * z])[0]
+                want = 2.0 ** r / math.factorial(r - 1) * mp.quad(
+                    lambda s: (z - s) ** (r - 1) * profile(s), [-1, min(z, 1.0)])
+                scale = 2.0 ** r * mass * max(1.0, abs(z)) ** (r - 1)
+                assert abs(value - float(want)) <= 1e-15 * scale, (r, z)
+
+
+def test_integrated_bump_refuses_bad_parameters():
+    with pytest.raises(ValueError, match="1-D center"):
+        IntegratedBump((0.0, 0.0), 1.0, (1.0,), 1)
+    with pytest.raises(ValueError, match="radius > 0"):
+        IntegratedBump((0.0,), 0.0, (1.0,), 1)
+    with pytest.raises(ValueError, match="order >= 1"):
+        IntegratedBump((0.0,), 1.0, (1.0,), 0)
 
 
 def test_box_and_grid():

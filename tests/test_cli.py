@@ -357,21 +357,30 @@ def test_run_builds_only_the_named_subparser(monkeypatch, capsys):
 
 def test_import_loads_no_unused_scipy_subpackages(tmp_path):
     # every command pays for what `import grflab.cli` loads, and none uses
-    # these; jsonschema is only imported to explain a rejected document
+    # these; jsonschema is only imported to explain a rejected document.
+    # The integrated ensemble's designs, through order 4, need none either
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     script = (
         "import json, sys, grflab.cli\n"
+        "from grflab import counterexample as cx\n"
+        "from grflab.basis import grid_points\n"
+        "from grflab.field import _design\n"
         "imported = sorted(sys.modules)\n"
         "code = grflab.cli.run(sys.argv[1:])\n"
-        "print(json.dumps([imported, sorted(sys.modules), code]))\n")
+        "after_run = sorted(sys.modules)\n"
+        "cfg = cx.config(2, integration_order=2)\n"
+        "Y = cx.build_Y_n(cfg)\n"
+        "shapes = [_design(Y, grid_points(cx.grid_box(cfg)), (j,)).shape for j in range(5)]\n"
+        "print(json.dumps([imported, after_run, sorted(sys.modules), code, shapes]))\n")
     out = subprocess.run(
         [sys.executable, "-c", script, "seminorm", "--field", FIELD_AFFINE,
          "--output", str(tmp_path / "seminorm.json")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    imported, after_run, code = json.loads(out.stdout)
+    imported, after_run, after_designs, code, shapes = json.loads(out.stdout)
     assert "grflab.cli" in imported and code == 0
+    assert shapes == [[4, 257]] * 5
     for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.stats"):
-        assert name not in imported
+        assert name not in imported and name not in after_designs
     for loaded in (imported, after_run):
         assert not [m for m in loaded
                     if m.split(".")[0] in ("jsonschema", "referencing", "attrs", "attr")]
@@ -402,6 +411,23 @@ def test_limit_study_command(tmp_path, capsys):
     assert report["distance_order"] == 2
     assert len(report["results"]) == 2
     assert report["results"][-1]["is_limit"] is True
+
+
+def test_an_overflowed_kernel_weight_is_one_error_line_and_no_file(tmp_path, capsys):
+    # the limit distance merges sigma^2 = (1e200)^2, which overflows
+    field = json.loads(FIELD_AFFINE)
+    field["sigmas"] = [1.0, 1e200]
+    cfg = {"fields": [field], "limit_field": json.loads(FIELD_T),
+           "event": json.loads(EVENT_SUP), "box": {"lower": [0.0], "upper": [1.0]}, "r": 0}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert run(["limit-study", "--config", str(path), "--samples", "200",
+                "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grflab: error: a kernel weight sigma^2 overflowed\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("integral_floats", [{"r": 0.0}, {"r": 1.0, "distance_order": 1.0}])

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from grflab import (SamplePath, SupNormBelow, estimate_probability, eval_kernel,
-                    kernel_of)
+from grflab import (BUMP_MAX_DERIV_ORDER, Bump, IntegratedBump, KernelSeminormSpec,
+                    KLField, OrderUnsupportedError, SamplePath, SupNormBelow,
+                    estimate_probability, eval_kernel, eval_sample, fd_check,
+                    kernel_of, kernel_seminorm)
 from grflab import counterexample as cx
-from grflab.basis import grid_points
+from grflab.basis import _partial_moments, grid_points
+from grflab.field import sample_batch_coeffs
 
 from conftest import bisect_normal_quantile
 
@@ -102,66 +105,112 @@ def test_build_y_n_requires_integration_order():
         cx.config(1)
 
 
+# the integration grid of the former Simpson tabulation: step 1/4096 from 0.1 left of the box
+INTEGRATION_GRID = (-0.1 + np.arange(4507) / 4096).reshape(-1, 1)
+
+
 def test_iterated_integral_single_bump():
     cfg = cx.config(2, integration_order=1)
     Y = cx.build_Y_n(cfg)
-    f = cx.build_X_n(cfg)
-    path = SamplePath(f, np.array([1.0, 0.0, 0.0, 0.0]))
-    tab = Y.apply(path)
-    assert Y.base_point < 0.0 and abs(Y.step - 1.0 / 4096) < 1e-18
-    # integral of a non-negative bump: nondecreasing up to quadrature noise
-    assert np.min(np.diff(tab)) > -1e-12
-    # exactly flat outside the bump support
+    assert isinstance(Y, KLField) and Y.size == 4
+    assert np.array_equal(Y.sigma_array, cx.build_X_n(cfg).sigma_array)
+    tab = eval_sample(SamplePath(Y, np.array([1.0, 0.0, 0.0, 0.0])), INTEGRATION_GRID)[:, 0]
+    # the integral of a non-negative bump: nondecreasing up to rounding,
+    # exactly 0 left of the support and exactly constant right of it
+    assert np.min(np.diff(tab)) >= -1e-15
     centers, radius = cx.bump_layout(cfg)
-    left = Y.grid < centers[0] - radius
-    right = Y.grid > centers[0] + radius
+    x = INTEGRATION_GRID[:, 0]
+    left = x <= centers[0] - radius
+    right = x >= centers[0] + radius
+    assert left.sum() > 400 and right.sum() > 3000
     assert np.array_equal(tab[left], np.zeros(left.sum()))
-    assert np.ptp(tab[right]) == 0.0
-    zero_tab = Y.apply(SamplePath(f, np.zeros(4)))
+    assert np.ptp(tab[right]) == 0.0 and tab[right][0] > 0.0
+    zero_tab = eval_sample(SamplePath(Y, np.zeros(4)), INTEGRATION_GRID)
     assert np.array_equal(zero_tab, np.zeros_like(zero_tab))
+    for r in (1, 2, 3):
+        f = IntegratedBump((0.3,), 0.2, (1.5, -1.0), r)
+        pts = np.array([[-5.0], [0.1 - 1e-12], [0.1]])
+        for j in range(r):
+            assert np.array_equal(f.eval_partial(pts, (j,)), np.zeros((3, 2)))
+    # right of the support the r = 1 value is the bump mass times rho
+    f = IntegratedBump((0.3,), 0.2, (1.0,), 1)
+    vals = f.eval(np.array([[0.5], [0.7], [3.0], [1e6]]))[:, 0]
+    assert np.ptp(vals) == 0.0
+    assert vals[0] == 0.2 * _partial_moments(np.array([1.0]), 1)[0, 0]
 
 
 def test_iterated_integral_derivative_recovers_path():
-    cfg = cx.config(2, integration_order=1)
-    Y = cx.build_Y_n(cfg)
-    f = cx.build_X_n(cfg)
-    from grflab import RandomStream, sample
-
-    path = sample(f, RandomStream(0))
-    tab = Y.apply(path)
-    from grflab.field import eval_sample
-
-    exact = eval_sample(path, Y.grid.reshape(-1, 1)).ravel()
-    got = cx.tabulation_derivative(tab, Y.step, 1)
-    assert np.max(np.abs(got - exact)) <= 1e-4
+    # a partial of order j >= r is the bump's partial of order j - r, bit for bit
+    pts = np.concatenate([np.linspace(-1.0, 1.5, 2001), [0.1, 0.5, 0.3]]).reshape(-1, 1)
+    bump = Bump((0.3,), 0.2, (1.5, -1.0))
+    for r in (1, 2, 3):
+        f = IntegratedBump((0.3,), 0.2, (1.5, -1.0), r)
+        for d in range(BUMP_MAX_DERIV_ORDER + 1):
+            assert np.array_equal(f.eval_partial(pts, (r + d,)), bump.eval_partial(pts, (d,)))
+        with pytest.raises(OrderUnsupportedError):
+            f.eval_partial(pts, (r + BUMP_MAX_DERIV_ORDER + 1,))
+    # and so order r of the ensemble's path is the X_n path
+    for r in (1, 2):
+        cfg = cx.config(2, integration_order=r)
+        coeffs = sample_batch_coeffs(cx.build_X_n(cfg), 0, [0])[0]
+        got = eval_sample(SamplePath(cx.build_Y_n(cfg), coeffs), INTEGRATION_GRID, (r,))
+        want = eval_sample(SamplePath(cx.build_X_n(cfg), coeffs), INTEGRATION_GRID)
+        assert np.array_equal(got, want)
 
 
 def test_second_order_integral_round_trip():
-    cfg = cx.config(2, integration_order=2)
-    Y = cx.build_Y_n(cfg)
-    f = cx.build_X_n(cfg)
-    path = SamplePath(f, np.array([0.7, -0.4, 1.1, 0.2]))
-    tab = Y.apply(path)
-    from grflab.field import eval_sample
-
-    exact = eval_sample(path, Y.grid.reshape(-1, 1)).ravel()
-    got = cx.tabulation_derivative(tab, Y.step, 2)
-    assert np.max(np.abs(got - exact)) <= 1e-4
+    # partials of orders 1 to r against finite differences of the order-0
+    # values, which only the partial moments give; order r is the bump itself
+    steps = {1: 1e-4, 2: 1e-4, 3: 3e-4}
+    for r in (1, 2, 3):
+        f = IntegratedBump((0.3,), 0.2, (1.5, -1.0), r)
+        for j in range(1, r + 1):
+            for x in (0.05, 0.12, 0.2, 0.31, 0.44, 0.49, 0.7):
+                assert fd_check(f, [x], (j,), steps[j]) <= 1e-6, (r, j, x)
 
 
 def test_iterated_integral_pinned_values():
-    # scipy.integrate is imported lazily inside apply; the tabulation is unchanged
     coeffs = np.array([0.7, -0.4, 1.1, 0.2])
-    pinned = {1: (0.21724205803881702, 0.040732885882278226, 0.12356204610951597,
-                  445.10725271573256),
-              2: (0.1086422440641393, 0.029274109847296108, 0.03764070411205888,
-                  150.450638438011)}
-    for order, want in pinned.items():
-        cfg = cx.config(2, integration_order=order)
-        tab = cx.build_Y_n(cfg).apply(SamplePath(cx.build_X_n(cfg), coeffs))
-        assert tab.shape == (4507,)
+    # (last value, values 2500 and 3000, sum) of the former composite Simpson
+    # tabulation, whose error is about 1e-13 relative here, and of the exact field
+    simpson = {1: (0.21724205803881702, 0.040732885882278226, 0.12356204610951597,
+                   445.10725271573256),
+               2: (0.1086422440641393, 0.029274109847296108, 0.03764070411205888,
+                   150.450638438011)}
+    exact = {1: (0.21724205803881774, 0.040732885882278316, 0.12356204610952828,
+                 445.1072527157337),
+             2: (0.10864224406413919, 0.029274109847296247, 0.037640704112048576,
+                 150.45063843801134)}
+    for order in (1, 2):
+        Y = cx.build_Y_n(cx.config(2, integration_order=order))
+        tab = eval_sample(SamplePath(Y, coeffs), INTEGRATION_GRID)[:, 0]
         got = (tab[-1], tab[2500], tab[3000], tab.sum())
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.allclose(got, simpson[order], rtol=1e-12, atol=0.0)
+        assert np.allclose(got, exact[order], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_integrated_ensemble_kernel_seminorms(r):
+    # order r of Y_n is X_n: its (r, r) seminorm is 1/a_n^2 and decays, while
+    # the order-(r + 2) seminorm, the paper's sufficient one, grows with n
+    higher = []
+    for n in (2, 5, 10):
+        cfg = cx.config(n, integration_order=r)
+        K = kernel_of(cx.build_Y_n(cfg))
+        got = kernel_seminorm(K, KernelSeminormSpec(cx.grid_box(cfg), r))
+        assert abs(got * cx.a_n(n) ** 2 - 1.0) <= 1e-12
+        higher.append(kernel_seminorm(K, KernelSeminormSpec(cx.grid_box(cfg), r + 2)))
+    assert higher[0] < higher[1] < higher[2]
+
+
+def test_integrated_ensemble_small_ball_matches_x_n():
+    cfg = cx.config(5, integration_order=1)
+    b = cx.grid_box(cfg)
+    est_y = estimate_probability(cx.build_Y_n(cfg), SupNormBelow(b, 1, 1.0), 20000, 0)
+    est_x = estimate_probability(cx.build_X_n(cfg), SupNormBelow(b, 0, 1.0), 20000, 0)
+    assert est_y.p_hat == est_x.p_hat
+    exact = cx.exact_small_norm_prob(5)
+    assert abs(est_y.p_hat - exact) <= 3.0 * math.sqrt(exact * (1 - exact) / 20000)
 
 
 def test_study_rows():

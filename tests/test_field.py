@@ -386,11 +386,10 @@ def test_consumers_read_the_windowed_design_without_densifying(no_densification)
 
 
 def test_counterexample_path_is_windowed_on_the_integration_grid():
-    """The n = 100 path at build_Y_n's tabulation grid: one stored entry per
-    point at most, and eval_sample equals the per-term sum."""
-    cfg = cx.config(100, integration_order=1)
-    field = cx.build_X_n(cfg)
-    grid = cx.build_Y_n(cfg).grid.reshape(-1, 1)
+    """The n = 100 path on a 4,507-point integration grid: one stored entry
+    per point at most, and eval_sample equals the per-term sum."""
+    field = cx.build_X_n(cx.config(100))
+    grid = (-0.1 + np.arange(4507) / 4096).reshape(-1, 1)
     assert grid.shape == (4507, 1)
     design = _design(field, grid, (0,))
     assert isinstance(design, sp.csr_array) and design.nnz <= 4507

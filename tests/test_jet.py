@@ -114,12 +114,6 @@ def test_certificate_examples():
     assert cert.nondegenerate
 
 
-def test_certificate_json_shape():
-    cert = nondegeneracy_certificate(kernel_of(kl_field([ONE, T])), [0.5], 1)
-    d = cert.to_json_dict()
-    assert set(d) == {"point", "ratio", "pass", "jet_dim", "rank_estimate"}
-
-
 def test_scan_examples():
     b = unit_interval()
     scan = scan_nondegeneracy(kernel_of(kl_field([ONE, T])), b, 1)

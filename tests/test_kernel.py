@@ -286,6 +286,16 @@ def test_kernel_distance_checks_the_box_dimension():
             kernel_distance(K1, K2, spec)
 
 
+def test_an_overflowed_kernel_weight_is_a_floating_point_error():
+    # sigma^2 = inf is a merged weight no KLField may hold, shared or not
+    spec = KernelSeminormSpec(unit_interval(), 1)
+    for K1, K2 in ((kernel_of(kl_field([T, ONE], [1e200, 1.0])), kernel_of(kl_field([ONE]))),
+                   (kernel_of(kl_field([T], [1e200])), kernel_of(kl_field([T], [1e200]))),
+                   (kernel_of(kl_field([T])), kernel_of(kl_field([T, T], [1e200, 1.0])))):
+        with pytest.raises(FloatingPointError, match=r"a kernel weight sigma\^2 overflowed"):
+            kernel_distance(K1, K2, spec)
+
+
 # -- diagonal seminorm and stacked distance against pair references ----------
 
 def _basis_function(draw, m, k):
