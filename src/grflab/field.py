@@ -232,6 +232,36 @@ def box_design(field: KLField, b: Box, alpha: MultiIndex):
     return design
 
 
+@lru_cache(maxsize=64)
+def _sup_split(field: KLField, b: Box, alpha: MultiIndex):
+    """``(owners, peaks, rest)`` of :func:`box_design` for grid sups.
+
+    A column with one stored entry ``d`` of term ``n`` holds the path value
+    ``c_n*d``, rounded once, and ``|fl(c*d)| = fl(|c|*|d|)``; rounding is
+    monotone, so the largest over a term's one-entry columns is
+    ``|c_n|*peak_n`` with ``peak_n`` its largest ``|d|`` there.  ``owners``
+    are the terms with such columns, ``peaks`` their peaks, and ``rest`` the
+    design on the columns with two or more entries, each summed in its own
+    order.  Columns without entries hold 0.  A dense design is all rest.
+    Cached and shared, so the arrays are read-only.
+    """
+    design = box_design(field, b, alpha)
+    if sp.issparse(design):
+        per_column = np.bincount(design.indices, minlength=design.shape[1])
+        single = per_column[design.indices] == 1
+        rows = np.repeat(np.arange(design.shape[0]), np.diff(design.indptr))
+        peaks = np.zeros(design.shape[0])
+        np.maximum.at(peaks, rows[single], np.abs(design.data[single]))
+        owners = np.flatnonzero(peaks)  # stored entries are non-zero
+        peaks, rest = peaks[owners], design[:, per_column >= 2]
+    else:
+        owners, peaks, rest = np.empty(0, dtype=np.intp), np.empty(0), design
+    for arr in (owners, peaks, *((rest.data, rest.indices, rest.indptr)
+                                 if sp.issparse(rest) else (rest,))):
+        arr.setflags(write=False)
+    return owners, peaks, rest
+
+
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:
     """Path values at the design's points for a batch of coefficient rows: (S, G*k)."""
     return coeffs @ design
@@ -241,13 +271,23 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
     """Grid sup of all partials of order <= r, all components, per coefficient row.
 
     A lower bound for the true sup over the box, exact when the extrema lie
-    on grid points.
+    on grid points.  Bits are those of ``max |coeffs @ box_design|``: see
+    :func:`_sup_split`.
     """
     best = np.zeros(coeffs.shape[0])
     for a in multi_indices(field.m, r):
-        vals = apply_design(coeffs, box_design(field, b, a))
-        # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
-        np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
+        owners, peaks, rest = _sup_split(field, b, a)
+        if owners.size:
+            # every term owns a column on disjoint bumps: no copy of the coefficients
+            vals = np.abs(coeffs if owners.size == coeffs.shape[1] else coeffs[:, owners])
+            # an overflow is inf without a warning, as in scipy's sparse product
+            with np.errstate(over="ignore"):
+                vals *= peaks
+            np.maximum(best, np.max(vals, axis=1), out=best)
+        if rest.shape[1]:
+            vals = apply_design(coeffs, rest)
+            # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
+            np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
     return best
 
 

@@ -191,6 +191,11 @@ def _closed_form_values(K: ClosedFormKernel, X: np.ndarray, Y: np.ndarray,
 # seminorms and distances
 # ---------------------------------------------------------------------------
 
+def _check_weights(weights) -> None:
+    if not all(map(math.isfinite, weights)):
+        raise FloatingPointError("a kernel weight sigma^2 overflowed")
+
+
 def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
     """Grid sup of |d_alpha d_beta sum c*K| over all pairs and |alpha|, |beta| <= order.
 
@@ -207,6 +212,7 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
     fields = [(c, K.field) for c, K in signed if isinstance(K, KLKernel) and K.field.size]
     if len(fields) == 1:
         (c, field), = fields
+        _check_weights(s * s for s in field.sigmas)
         signs = np.full(field.size, c)
     else:
         merged = Counter()
@@ -216,8 +222,7 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
                 own[f] += s * s
             merged.update({f: c * w for f, w in own.items()})
         terms = {f: w for f, w in merged.items() if w}
-        if not all(map(math.isfinite, terms.values())):
-            raise FloatingPointError("a kernel weight sigma^2 overflowed")
+        _check_weights(terms.values())
         field = KLField(tuple(terms), tuple(math.sqrt(abs(w)) for w in terms.values()),
                         signed[0][1].m, signed[0][1].k)
         signs = np.sign(list(terms.values()))

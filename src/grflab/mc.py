@@ -95,8 +95,12 @@ def _zero_count_rows(vals: np.ndarray) -> np.ndarray:
     sign = (vals > 0.0).view(np.int8)
     sign += vals >= 0.0
     sign -= 1
-    return (np.count_nonzero(sign == 0, axis=1)
-            + np.count_nonzero(sign[:, :-1] * sign[:, 1:] < 0, axis=1))
+    return _row_counts(sign == 0) + _row_counts(sign[:, :-1] * sign[:, 1:] < 0)
+
+
+def _row_counts(hits: np.ndarray) -> np.ndarray:
+    """True entries per row of a boolean array, counted eight to a packed byte."""
+    return np.bitwise_count(np.packbits(hits, axis=1)).sum(axis=1, dtype=np.intp)
 
 
 def _indicator_batch(event: EventSpec, field: KLField, coeffs: np.ndarray) -> np.ndarray:

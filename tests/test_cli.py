@@ -430,6 +430,29 @@ def test_an_overflowed_kernel_weight_is_one_error_line_and_no_file(tmp_path, cap
     assert not out.exists()
 
 
+def test_an_overflowed_lone_kernel_weight_is_one_error_line_and_no_file(tmp_path, capsys):
+    # sigma^2 = (1e200)^2 of the one field a seminorm reads
+    field = json.loads(FIELD_T)
+    field["sigmas"] = [1e200]
+    out = tmp_path / "report.json"
+    assert run(["seminorm", "--field", json.dumps(field), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grflab: error: a kernel weight sigma^2 overflowed\n"
+    assert not out.exists()
+
+
+def test_an_overflowed_windowed_path_sup_is_above_the_threshold(capsys):
+    # coefficient 1e200 z times bump peak 1e200 is inf: no error line, no hit
+    field = {"m": 1, "k": 1, "sigmas": [1e200],
+             "basis": [{"type": "bump", "center": [0.5], "radius": 0.25, "amplitude": [1e200]}]}
+    assert run(["estimate", "--field", json.dumps(field), "--event", EVENT_SUP,
+                "--samples", "200"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["p_hat"] == 0.0
+
+
 @pytest.mark.parametrize("integral_floats", [{"r": 0.0}, {"r": 1.0, "distance_order": 1.0}])
 def test_limit_study_reads_integral_floats_as_integers(tmp_path, capsys, integral_floats):
     # the schema calls 0.0 an integer; the report must be that of the integer config

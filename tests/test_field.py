@@ -4,18 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scipy.sparse as sp
 
-from grflab import (Bump, Harmonic, IllConditionedError, Monomial, OrderUnsupportedError,
+from grflab import (Box, Bump, Harmonic, IllConditionedError, Monomial, OrderUnsupportedError,
                     RandomStream, SamplePath, Scaled, cm_inner, eval_kernel, eval_sample,
                     grid_points, kernel_of, kl_field, projection_residual,
                     sample, sample_seminorm, scan_nondegeneracy, support_basis,
                     unit_interval)
 import grflab.field
 from grflab import counterexample as cx
-from grflab.field import (_design, apply_design, batch_seminorms, box_design,
+from grflab.field import (_design, _sup_split, apply_design, batch_seminorms, box_design,
                           sample_batch_coeffs)
 from grflab.jet import _jet_covariances
 from grflab.kernel import check_psd, eval_kernel_deriv_pairs
@@ -204,6 +204,10 @@ def test_cached_arrays_are_read_only():
     dense = box_design(kl_field([ONE, T]), b, (0,))
     with pytest.raises(ValueError):
         dense[0, 0] = 1.0
+    # a dense design's split for grid sups is all rest: the design itself
+    owners, peaks, rest = _sup_split(kl_field([ONE, T]), b, (0,))
+    assert owners.size == peaks.size == 0 and rest is dense
+    assert not (owners.flags.writeable or peaks.flags.writeable)
     # a bump field's design is windowed-sparse at every grid size
     bumps = kl_field([Bump((0.02 * i + 0.01,), 0.005, (1.0,)) for i in range(50)])
     sparse = box_design(bumps, unit_interval(100_000), (0,))
@@ -289,6 +293,68 @@ def test_windowed_design_at_any_points(case, a):
     assert isinstance(design, sp.csr_array)
     assert np.all(design.data != 0.0)
     assert np.array_equal(design.toarray(), _per_function_design(field, pts, (a,)))
+
+
+@st.composite
+def box_bump_cases(draw):
+    """(Scaled) bumps on a box grid: overlapping, nested inside one another
+    (a nested term owns no one-entry column), outside the box, with centres
+    and support edges on grid points or between them."""
+    res = draw(st.integers(1, 64))
+    lo = draw(st.floats(-1.0, 1.0))
+    b = Box((lo,), (lo + draw(st.floats(0.1, 2.0)),), (res,))
+    h = b.width(0) / res
+    basis = []
+    for _ in range(draw(st.integers(1, 8))):
+        center = draw(st.floats(lo - 0.5, lo + b.width(0) + 0.5)
+                      | st.integers(0, res).map(lambda i: lo + i * h))
+        radius = draw(st.floats(1e-3, 0.8) | st.integers(1, 8).map(lambda i: i * h))
+        f = Bump((center,), radius, (draw(st.floats(-2.0, 2.0)),))
+        if draw(st.booleans()):
+            basis.append(Bump((center,), radius * draw(st.floats(0.1, 0.9)),
+                              (draw(st.floats(-2.0, 2.0)),)))
+        for _ in range(draw(st.integers(0, 2))):
+            f = Scaled(f, draw(st.floats(-3.0, 3.0)))
+        basis.append(f)
+    return kl_field(draw(st.permutations(basis))), b
+
+
+_NESTED = (kl_field([Bump((0.3,), 0.1, (1.0,)), Bump((0.35,), 0.2, (-0.7,)),
+                     Scaled(Bump((0.6,), 0.05, (1.3,)), -0.37), Bump((1.5,), 0.2, (1.0,))]),
+           unit_interval(64))
+
+
+@settings(max_examples=100, deadline=None)
+@example(_NESTED, 3, 0)
+@given(box_bump_cases(), st.integers(0, 3), st.integers(0, 2**31))
+def test_grid_sups_from_peaks_equal_the_windowed_product(case, r, seed):
+    """Bit for bit ``max |coeffs @ design|`` with the per-function design
+    stored sparse: a dense BLAS product sums overlapping columns in another
+    order, so it is compared only on disjoint bumps (see
+    test_small_bump_fields_are_windowed)."""
+    field, b = case
+    coeffs = sample_batch_coeffs(field, seed, np.arange(40))
+    pts = grid_points(b)
+    want = np.zeros(coeffs.shape[0])
+    for a in range(r + 1):
+        product = coeffs @ sp.csr_array(_per_function_design(field, pts, (a,)))
+        want = np.maximum(want, np.max(np.abs(product), axis=1))
+        owners, peaks, rest = _sup_split(field, b, (a,))
+        for arr in (owners, peaks, rest.data, rest.indices, rest.indptr):
+            assert not arr.flags.writeable
+    assert np.array_equal(batch_seminorms(field, coeffs, b, r), want)
+    if case is _NESTED:
+        # the nested first term and the term outside the box own no one-entry column
+        assert _sup_split(field, b, (0,))[0].tolist() == [1, 2]
+
+
+def test_grid_sups_from_peaks_overflow_to_inf_silently():
+    # |c|*peak = 1e200 * 1e200: inf without a warning, as the sparse product gave
+    field = kl_field([Bump((0.25,), 0.2, (1e200,)), Bump((0.75,), 0.2, (1.0,))])
+    b = unit_interval(8)
+    assert _sup_split(field, b, (0,))[0].tolist() == [0, 1]
+    sups = batch_seminorms(field, np.array([[1e200, 1.0], [1.0, 1.0]]), b, 0)
+    assert sups[0] == np.inf and sups[1] == 1e200
 
 
 def test_windowed_design_is_refused_above_the_entry_budget(monkeypatch):

@@ -294,6 +294,13 @@ def test_an_overflowed_kernel_weight_is_a_floating_point_error():
                    (kernel_of(kl_field([T])), kernel_of(kl_field([T, T], [1e200, 1.0])))):
         with pytest.raises(FloatingPointError, match=r"a kernel weight sigma\^2 overflowed"):
             kernel_distance(K1, K2, spec)
+    # a lone field, read as it is, checks its own sigma^2
+    lone = kernel_of(kl_field([T], [1e200]))
+    for reduce in (lambda: kernel_seminorm(lone, spec),
+                   lambda: kernel_distance(lone, kernel_of(kl_field([], m=1, k=1)), spec),
+                   lambda: kernel_distance(kernel_of(kl_field([], m=1, k=1)), lone, spec)):
+        with pytest.raises(FloatingPointError, match=r"a kernel weight sigma\^2 overflowed"):
+            reduce()
 
 
 # -- diagonal seminorm and stacked distance against pair references ----------

@@ -79,7 +79,7 @@ def _zero_count_loop(row):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda width: st.lists(
+@given(st.integers(1, 40).flatmap(lambda width: st.lists(
     st.lists(st.sampled_from([-2.0, -1e-300, 0.0, 0.0, -0.0, 5e-324, 3.0,
                               math.nan, math.inf, -math.inf]),
              min_size=width, max_size=width),
