@@ -23,6 +23,13 @@ Bump derivatives come from two closed forms.  With ``z = (x - c)/rho``,
 A partial of order ``d`` carries ``rho**-d``.  Term lists and ``R_n`` are
 built at first use and cached up to total order 4; higher orders raise
 :class:`OrderUnsupportedError` rather than silently truncating.
+
+Values come from a basis' family table (:func:`families`): harmonics,
+monomials and bumps each evaluate all their terms at once, for every
+requested multi-index in one pass; integrated bumps go term by term, and
+:class:`Scaled` factors are rows applied after the amplitude.
+:meth:`BasisFunction.eval_partial` is a one-term table, so a value has the
+same bits alone as in a design.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import Polynomial, polyval
 
 from .exceptions import OrderUnsupportedError
 from .multiindex import MultiIndex, order as mi_order, validate as mi_validate
@@ -145,15 +151,12 @@ class BasisFunction:
         return self.eval_partial(p, (0,) * self.m)
 
     def eval_partial(self, p, alpha) -> np.ndarray:
-        """Exact mixed partial derivative, same shapes as :meth:`eval`."""
+        """Exact mixed partial derivative, same shapes as :meth:`eval`, from a one-term table."""
         a = mi_validate(alpha, self.m)
         pts, single = _as_points(p, self.m)
-        out = self._eval_partial(pts, a)
-        return out[0] if single else out
-
-    # subclass hook, batch shapes only
-    def _eval_partial(self, pts: np.ndarray, alpha: MultiIndex) -> np.ndarray:
-        raise NotImplementedError
+        out = np.empty((1, 1, pts.shape[0], self.k))
+        evaluate(_one_term_table(self), pts, (a,), out)
+        return out[0, 0, 0] if single else out[0, 0]
 
 
 @dataclass(frozen=True)
@@ -174,17 +177,6 @@ class Monomial(BasisFunction):
     def k(self) -> int:
         return len(self.amplitude)
 
-    def _eval_partial(self, pts, alpha):
-        coeff = 1.0
-        mono = np.ones(pts.shape[0])
-        for i, (e, a) in enumerate(zip(self.exponents, alpha)):
-            if a > e:
-                return np.zeros((pts.shape[0], self.k))
-            coeff *= math.perm(e, a)
-            if e - a:
-                mono = mono * pts[:, i] ** (e - a)
-        return np.outer(coeff * mono, np.asarray(self.amplitude, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class Harmonic(BasisFunction):
@@ -202,34 +194,25 @@ class Harmonic(BasisFunction):
     def k(self) -> int:
         return len(self.amplitude)
 
-    def _phase_values(self, pts, shift: int) -> np.ndarray:
-        theta = pts @ np.asarray(self.frequency, dtype=np.float64) + self.phase
-        shift %= 4
-        if shift == 0:
-            return np.cos(theta)
-        if shift == 1:
-            return -np.sin(theta)
-        if shift == 2:
-            return -np.cos(theta)
-        return np.sin(theta)
-
-    def _eval_partial(self, pts, alpha):
-        coeff = 1.0
-        for w, a in zip(self.frequency, alpha):
-            coeff *= w ** a
-        vals = coeff * self._phase_values(pts, mi_order(alpha))
-        return np.outer(vals, np.asarray(self.amplitude, dtype=np.float64))
-
 
 # -- bump derivatives -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _profile_poly(n: int) -> Polynomial:
-    """R_n with d^n/ds^n exp(1 - u) = R_n(u) exp(1 - u), u = 1/(1 - s)."""
+def _profile_poly(n: int) -> tuple:
+    """Integer coefficients, lowest first, of R_n: d^n/ds^n exp(1 - u) = R_n(u) exp(1 - u)."""
     if n == 0:
-        return Polynomial([1.0])
+        return (1,)
     r = _profile_poly(n - 1)
-    return Polynomial([0.0, 0.0, 1.0]) * (r.deriv() - r)
+    # u^2 (R' - R): R' has one coefficient fewer, so R's last one is -R's
+    return (0, 0, *(i * c - b for i, (b, c) in enumerate(zip(r, r[1:] + (0,)), 1)))
+
+
+def _horner(coef: tuple, x: np.ndarray) -> np.ndarray:
+    """sum_i coef[i] x^i in the operations of numpy's ``polyval``, so in its bits."""
+    acc = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        acc = c + acc * x
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -242,38 +225,47 @@ def _bump_terms(alpha: MultiIndex) -> tuple:
                  for cs, ps, ns in (zip(*t) for t in itertools.product(*per_axis)))
 
 
-def bump_partial(pts: np.ndarray, centers, radii, alpha: MultiIndex) -> np.ndarray:
-    """d^alpha of the unit-peak bump ``exp(1 - 1/(1 - |z|^2))``, ``z = (p - c)/rho``.
+def bump_partial(pts: np.ndarray, centers, radii, alphas) -> np.ndarray:
+    """d^alpha of the unit-peak bump ``exp(1 - 1/(1 - |z|^2))``, ``z = (p - c)/rho``: (A, E).
 
     Row ``e`` of the (E, m) points is evaluated for the bump with centre
     ``centers[e]`` and radius ``radii[e]``; one (m,) centre and a scalar
-    radius broadcast over every row.  Zero outside the open ball.
+    radius broadcast over every row.  Every multi-index of ``alphas`` shares
+    ``z``, the profile and the powers of ``u`` and ``z``.  Zero outside the
+    open ball.
     """
-    d = mi_order(alpha)
-    if d > BUMP_MAX_DERIV_ORDER:
+    orders = [mi_order(a) for a in alphas]
+    if max(orders, default=0) > BUMP_MAX_DERIV_ORDER:
         raise OrderUnsupportedError(
             f"bump derivatives implemented up to total order "
-            f"{BUMP_MAX_DERIV_ORDER}, requested {d}")
+            f"{BUMP_MAX_DERIV_ORDER}, requested {max(orders)}")
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), pts.shape[:1])
     z = (pts - centers) / radii[:, None]
     s = np.sum(z * z, axis=1)
-    vals = np.zeros(pts.shape[0])
+    vals = np.zeros((len(alphas), pts.shape[0]))
     inside = s < 1.0
     if inside.any():
         u = 1.0 / (1.0 - s[inside])
-        vals[inside] = np.exp(1.0 - u)
-        if d:
-            z = z[inside]
+        peak = np.exp(1.0 - u)
+        z, radii, powers = z[inside], radii[inside], {}  # powers: R_n(u) by n, z_i^p by (i, p)
+        for row, alpha, d in zip(vals, alphas, orders):
+            if not d:
+                row[inside] = peak
+                continue
             total = np.zeros(u.size)  # +0.0, so an exact zero is not -0.0
-            for c, powers, n in _bump_terms(tuple(alpha)):
-                term = c * polyval(u, _profile_poly(n).coef)
-                for i, p in enumerate(powers):
+            for c, exponents, n in _bump_terms(tuple(alpha)):
+                if n not in powers:
+                    powers[n] = _horner(_profile_poly(n), u)
+                term = c * powers[n]
+                for i, p in enumerate(exponents):
                     if p:
-                        term *= z[:, i] ** p
+                        if (i, p) not in powers:
+                            powers[i, p] = z[:, i] ** p
+                        term *= powers[i, p]
                 total += term
             # float_power is libm pow, the same rounding as ``radius ** d``
             # on a Python float; ``**`` on an array is not
-            vals[inside] *= total / np.float_power(radii[inside], d)
+            row[inside] = peak * (total / np.float_power(radii, d))
     return vals
 
 
@@ -300,11 +292,6 @@ class Bump(BasisFunction):
     @property
     def k(self) -> int:
         return len(self.amplitude)
-
-    def _eval_partial(self, pts, alpha):
-        vals = bump_partial(pts, np.asarray(self.center, dtype=np.float64),
-                            self.radius, alpha)
-        return np.outer(vals, np.asarray(self.amplitude, dtype=np.float64))
 
 
 # tanh-sinh rule, h = 1/32 on [-6, 6]: on [a, b] a node lies (b - a) * _TS_LEFT from a and
@@ -352,7 +339,8 @@ class IntegratedBump(BasisFunction):
     def _eval_partial(self, pts, alpha):
         q = self.order - alpha[0]
         if q <= 0:
-            vals = bump_partial(pts, np.asarray(self.center, dtype=np.float64), self.radius, (-q,))
+            vals = bump_partial(pts, np.asarray(self.center, dtype=np.float64), self.radius,
+                                ((-q,),))[0]
         else:
             z = (pts[:, 0] - self.center[0]) / self.radius
             on = z > -1.0
@@ -381,8 +369,113 @@ class Scaled(BasisFunction):
     def k(self) -> int:
         return self.inner.k
 
-    def _eval_partial(self, pts, alpha):
-        return self.factor * self.inner._eval_partial(pts, alpha)
+
+# ---------------------------------------------------------------------------
+# family tables: all terms of a family, all requested orders, in one pass
+# ---------------------------------------------------------------------------
+
+def _outer(vals: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    # each term's np.outer of values and amplitude: (n, A, G, k)
+    return vals[..., None] * amplitudes[:, None, None, :]
+
+
+def _harmonic_values(pts, alphas, amplitudes, freqs, phases, freq_tuples):
+    # one pts @ w per term: a stacked pts @ W.T rounds 2-D phases differently
+    theta = np.array([pts @ w for w in freqs]) + phases[:, None]
+    orders = [mi_order(a) for a in alphas]
+    trig = {p: (np.sin if p else np.cos)(theta) for p in {d % 2 for d in orders}}
+    vals = np.empty((len(freqs), len(alphas), len(pts)))
+    for i, (a, d) in enumerate(zip(alphas, orders)):
+        # the d-th derivative of cos is cos, -sin, -cos, sin for d % 4 = 0, 1, 2, 3; the
+        # sign folds exactly into w^a, a Python float
+        sign = -1.0 if d % 4 in (1, 2) else 1.0
+        coeffs = [sign * math.prod(map(pow, f, a), start=1.0) for f in freq_tuples]
+        np.multiply(np.array(coeffs)[:, None], trig[d % 2], out=vals[:, i])
+    return _outer(vals, amplitudes)
+
+
+def _monomial_values(pts, alphas, amplitudes, exponents, exps):
+    left = exps[:, None, :] - np.array(alphas)  # (n, A, m) powers left
+    mono = 1.0
+    for i, p in enumerate(left.transpose(2, 0, 1)):
+        # x_i ** q with a scalar q, as one term takes it; q <= 0 multiplies by an exact 1.0
+        powers = np.array([np.ones(len(pts)), *(pts[:, i] ** q for q in range(1, p.max() + 1))])
+        mono = mono * powers[np.maximum(p, 0)]
+    coeffs = [[math.prod(map(math.perm, e, a), start=1.0) for a in alphas] for e in exponents]
+    vals = _outer(np.array(coeffs)[..., None] * mono, amplitudes)
+    vals[(left < 0).any(axis=2)] = 0.0  # +0.0 before any factor
+    return vals
+
+
+def _bump_values(pts, alphas, amplitudes, centers, radii):
+    n, g = radii.size, pts.shape[0]
+    args = np.tile(pts, (n, 1)), np.repeat(centers, g, axis=0), np.repeat(radii, g)
+    vals = bump_partial(*args, alphas).reshape(len(alphas), n, g)
+    return _outer(vals.transpose(1, 0, 2), amplitudes)
+
+
+def _stacked(fs, attr: str) -> np.ndarray:
+    # one row per term of a tuple attribute, from one flat list of floats
+    flat = [x for f in fs for x in getattr(f, attr)]
+    return np.array(flat, dtype=np.float64).reshape(len(fs), -1)
+
+
+_FAMILIES = {  # family: (evaluator, what it reads of the unwrapped terms besides amplitudes)
+    Harmonic: (_harmonic_values, lambda fs: (
+        _stacked(fs, "frequency"), np.array([f.phase for f in fs], dtype=np.float64),
+        tuple(f.frequency for f in fs))),
+    Monomial: (_monomial_values, lambda fs: (
+        tuple(f.exponents for f in fs), np.array([f.exponents for f in fs]))),
+    Bump: (_bump_values, lambda fs: (
+        _stacked(fs, "center"), np.array([f.radius for f in fs], dtype=np.float64))),
+    # integrated bumps keep their own evaluator, one term at a time
+    IntegratedBump: (lambda pts, alphas, amplitudes, fs: np.array(
+        [[f._eval_partial(pts, a) for a in alphas] for f in fs]), lambda fs: (fs,)),
+}
+
+
+def families(fs) -> tuple:
+    """The family table of the basis ``fs``: ``(kind, rows, params, factors)`` per family.
+
+    ``kind`` is a key of ``_FAMILIES``, ``rows`` the terms' positions in ``fs``,
+    ``params`` what its evaluator reads and ``factors`` the terms' :class:`Scaled`
+    factors, one row per level, innermost first, padded with an exact 1.0.
+    """
+    bases, chains = [], []
+    for f in fs:
+        factors = ()
+        while isinstance(f, Scaled):
+            f, factors = f.inner, (f.factor,) + factors
+        bases.append(f)
+        chains.append(factors)
+    kinds = [type(f) for f in bases]
+    depth = max(map(len, chains), default=0)
+    table = []
+    for kind in dict.fromkeys(kinds):
+        rows = [i for i, t in enumerate(kinds) if t is kind]
+        factors = [[chains[i][level] if level < len(chains[i]) else 1.0 for i in rows]
+                   for level in range(depth)]
+        terms = [bases[i] for i in rows]
+        params = (_stacked(terms, "amplitude"), *_FAMILIES[kind][1](terms))
+        table.append((kind, np.array(rows), params,
+                      np.array(factors, dtype=np.float64).reshape(depth, len(rows))))
+    return tuple(table)
+
+
+# the family table of one term, for point-wise evaluation
+_one_term_table = lru_cache(maxsize=256)(lambda f: families((f,)))
+
+
+def evaluate(table: tuple, pts: np.ndarray, alphas: tuple, out: np.ndarray) -> None:
+    """Fill the (N, A, G, k) ``out`` with partial ``alphas[i]`` of term n at point g.
+
+    ``table`` is the basis' :func:`families`; each value has a lone term's bits.
+    """
+    for kind, rows, params, factors in table:
+        vals = _FAMILIES[kind][0](pts, alphas, *params)
+        for factor in factors:
+            vals *= factor[:, None, None, None]
+        out[rows] = vals
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ Sampling is reproducible: coefficient draws come from a named
 per sample index, so identical ``(seed, index)`` always yields bit-identical
 coefficients and windowed-design values.  BLAS may round the last bits of a
 dense product differently with its row count, so such loops use fixed sizes.
+
+Designs read a family table built once per field and take every requested
+derivative order in one pass, stacked by column.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisFunction, Box, Bump, Scaled, bump_partial, grid_points
+from .basis import BasisFunction, Box, Bump, bump_partial, evaluate, families, grid_points
 from .linalg import solve_psd_pinv
-from .multiindex import MultiIndex, multi_indices, validate as mi_validate
+from .multiindex import multi_indices, validate as mi_validate
 from .rng import RandomStream, normal_matrix
 
 # entry budget of one dense block: a dense design above it is refused, and
@@ -136,32 +139,14 @@ def _blocks(n: int, per_item: int, budget: int | None = None):
         yield slice(start, min(start + step, n))
 
 
-@lru_cache(maxsize=64)
-def _bump_windows(field: KLField):
-    """Centres, radii and factor rows of a 1-D scalar (scaled) bump field, else None.
+# the basis' family table (grflab.basis.families), built once per field
+_families = lru_cache(maxsize=64)(lambda field: families(field.basis))
 
-    Computed once per field and shared, so the arrays are read-only.
-    """
-    if not (field.size and field.m == 1 and field.k == 1):
-        return None
-    bumps, chains = [], []
-    for f in field.basis:
-        factors = ()
-        while isinstance(f, Scaled):
-            f, factors = f.inner, (f.factor,) + factors
-        if not isinstance(f, Bump):
-            return None
-        bumps.append(f)
-        chains.append((f.amplitude[0], *factors))
-    centers = np.array([f.center[0] for f in bumps], dtype=np.float64)
-    radii = np.array([f.radius for f in bumps], dtype=np.float64)
-    # amplitude, then wrapper factors innermost first, one row per product
-    # as Bump and Scaled evaluate them; padding with 1.0 is exact
-    levels = np.array([[c[level] if level < len(c) else 1.0 for c in chains]
-                       for level in range(max(map(len, chains)))])
-    for arr in (centers, radii, levels):
-        arr.setflags(write=False)
-    return centers, radii, levels
+
+def _windowed(field: KLField) -> bool:
+    """A non-empty field of (scaled) bumps with m = k = 1."""
+    table = _families(field)
+    return field.m == field.k == 1 and len(table) == 1 and table[0][0] is Bump
 
 
 def _check_entries(n_entries: int) -> None:
@@ -169,12 +154,12 @@ def _check_entries(n_entries: int) -> None:
         raise MemoryError(f"design of {n_entries} entries exceeds the supported size")
 
 
-def _windowed_design(x: np.ndarray, alpha: MultiIndex, centers: np.ndarray,
+def _windowed_design(x: np.ndarray, alphas: tuple, centers: np.ndarray,
                      radii: np.ndarray, levels: np.ndarray) -> sp.csr_array:
     # evaluate each row only at the points inside its support window, all
-    # rows in one call.  The windows are found on the points in sorted
-    # order; ``order`` maps them back to the caller's columns, so unsorted
-    # and repeated points are fine
+    # rows and orders in one call each.  The windows are found on the points
+    # in sorted order; ``order`` maps them back to the caller's columns, so
+    # unsorted and repeated points are fine
     order = np.argsort(x, kind="stable")
     axis = x[order]
     i0 = np.searchsorted(axis, centers - radii, side="left")
@@ -183,36 +168,44 @@ def _windowed_design(x: np.ndarray, alpha: MultiIndex, centers: np.ndarray,
     rows = np.repeat(np.arange(centers.size), counts)
     starts = np.cumsum(counts) - counts
     pos = np.arange(rows.size) - np.repeat(starts - i0, counts)
-    vals = bump_partial(axis[pos, None], centers[rows, None], radii[rows], alpha)
+    vals = bump_partial(axis[pos, None], centers[rows, None], radii[rows], alphas)
     for factor in levels:
         vals *= factor[rows]
     nz = vals != 0.0
-    return sp.csr_array((vals[nz], (rows[nz], order[pos[nz]])),
-                        shape=(centers.size, x.shape[0]))
+    cols = order[pos] + x.shape[0] * np.arange(len(alphas))[:, None]
+    return sp.csr_array((vals[nz], (np.broadcast_to(rows, nz.shape)[nz], cols[nz])),
+                        shape=(centers.size, len(alphas) * x.shape[0]))
 
 
-def _design(field: KLField, pts: np.ndarray, alpha):
-    """(N, G*k) design of d^alpha f_n at the (G, m) points; the one place it is built.
+def _design(field: KLField, pts: np.ndarray, *alphas):
+    """(N, A*G*k) design of d^alpha f_n at the (G, m) points; the one place it is built.
 
-    A non-empty field of (scaled) bumps with m = k = 1 gets a windowed
-    ``csr_array`` at any points; every other field a dense array.  Either
-    is refused with :class:`MemoryError` before it is built when it would
-    store more than ``_BLOCK_ENTRIES`` entries.  Column
-    ``g*k + j`` is component ``j`` at point ``g``.  Consumers read either
+    All ``alphas`` are built in one pass over the field's family table; column
+    ``(i*G + g)*k + j`` is ``alphas[i]`` at point ``g``, component ``j``, and
+    :func:`_column_blocks` cuts out each order.  A :func:`_windowed` field gets
+    a windowed ``csr_array`` at any points; every other field a dense array.
+    Either is refused with :class:`MemoryError` before it is built when one
+    order would store more than ``_BLOCK_ENTRIES`` entries.  Consumers read either
     form through the operations both support: ``@``, elementwise ``*``,
     ``.sum(axis=...)``, column slices and ``abs(...).max(axis=0)``.
     """
-    alpha = mi_validate(alpha, field.m)
+    alphas = tuple(mi_validate(a, field.m) for a in alphas)
     if pts.ndim != 2 or pts.shape[1] != field.m:
         raise ValueError(f"points of shape {pts.shape} do not match dimension {field.m}")
-    windows = _bump_windows(field)
-    if windows is not None:
-        return _windowed_design(pts[:, 0], alpha, *windows)
+    if _windowed(field):
+        ((_, _, (amplitudes, centers, radii), factors),) = _families(field)
+        return _windowed_design(pts[:, 0], alphas, centers[:, 0], radii,
+                                np.vstack([amplitudes.T, factors]))
     _check_entries(field.size * pts.shape[0] * field.k)
-    out = np.empty((field.size, pts.shape[0] * field.k))
-    for row, f in enumerate(field.basis):
-        out[row] = f.eval_partial(pts, alpha).ravel()
-    return out
+    out = np.empty((field.size, len(alphas), pts.shape[0], field.k))
+    evaluate(_families(field), pts, alphas, out)
+    return out.reshape(field.size, len(alphas) * pts.shape[0] * field.k)
+
+
+def _column_blocks(design, n: int) -> list:
+    """``design`` cut into ``n`` equal column blocks: one per order of a multi-order design."""
+    side = design.shape[1] // n
+    return [design[:, i * side:(i + 1) * side] for i in range(n)] if n > 1 else [design]
 
 
 def _dense(x) -> np.ndarray:
@@ -221,31 +214,35 @@ def _dense(x) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def box_design(field: KLField, b: Box, alpha: MultiIndex):
-    """:func:`_design` on the grid of ``b``: sparse for bump fields, dense otherwise.
+def box_design(field: KLField, b: Box, *alphas):
+    """:func:`_design` of the multi-indices ``alphas`` on the grid of ``b``.
 
-    The result is cached and shared, so its arrays are read-only.
+    Sparse for bump fields, dense otherwise.  The result is cached and
+    shared, so its arrays are read-only.
     """
-    design = _design(field, grid_points(b), alpha)
+    design = _design(field, grid_points(b), *alphas)
     for arr in (design.data, design.indices, design.indptr) if sp.issparse(design) else (design,):
         arr.setflags(write=False)
     return design
 
 
 @lru_cache(maxsize=64)
-def _sup_split(field: KLField, b: Box, alpha: MultiIndex):
-    """``(owners, peaks, rest)`` of :func:`box_design` for grid sups.
+def _sup_split(field: KLField, b: Box, r: int):
+    """``(owners, peaks, rests)`` of the :func:`box_design` of orders <= r, for grid sups.
 
     A column with one stored entry ``d`` of term ``n`` holds the path value
     ``c_n*d``, rounded once, and ``|fl(c*d)| = fl(|c|*|d|)``; rounding is
     monotone, so the largest over a term's one-entry columns is
     ``|c_n|*peak_n`` with ``peak_n`` its largest ``|d|`` there.  ``owners``
-    are the terms with such columns, ``peaks`` their peaks, and ``rest`` the
-    design on the columns with two or more entries, each summed in its own
-    order.  Columns without entries hold 0.  A dense design is all rest.
+    are the terms with such columns, ``peaks`` their peaks, and ``rests``
+    the designs on the columns with two or more entries, each column summed
+    in its own order: a windowed product sums each column alone, so all
+    orders make one rest; a dense one is all rest, one design per order, as
+    BLAS may round a product by its shape.  Columns without entries hold 0.
     Cached and shared, so the arrays are read-only.
     """
-    design = box_design(field, b, alpha)
+    alphas = multi_indices(field.m, r)
+    design = box_design(field, b, *alphas)
     if sp.issparse(design):
         per_column = np.bincount(design.indices, minlength=design.shape[1])
         single = per_column[design.indices] == 1
@@ -253,13 +250,14 @@ def _sup_split(field: KLField, b: Box, alpha: MultiIndex):
         peaks = np.zeros(design.shape[0])
         np.maximum.at(peaks, rows[single], np.abs(design.data[single]))
         owners = np.flatnonzero(peaks)  # stored entries are non-zero
-        peaks, rest = peaks[owners], design[:, per_column >= 2]
+        peaks, rests = peaks[owners], (design[:, per_column >= 2],)
     else:
-        owners, peaks, rest = np.empty(0, dtype=np.intp), np.empty(0), design
-    for arr in (owners, peaks, *((rest.data, rest.indices, rest.indptr)
-                                 if sp.issparse(rest) else (rest,))):
+        owners, peaks = np.empty(0, dtype=np.intp), np.empty(0)
+        rests = tuple(_column_blocks(design, len(alphas)))  # views of the read-only design
+    for arr in (owners, peaks, *(x for rest in rests if sp.issparse(rest)
+                                 for x in (rest.data, rest.indices, rest.indptr))):
         arr.setflags(write=False)
-    return owners, peaks, rest
+    return owners, peaks, rests
 
 
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:
@@ -275,15 +273,15 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
     :func:`_sup_split`.
     """
     best = np.zeros(coeffs.shape[0])
-    for a in multi_indices(field.m, r):
-        owners, peaks, rest = _sup_split(field, b, a)
-        if owners.size:
-            # every term owns a column on disjoint bumps: no copy of the coefficients
-            vals = np.abs(coeffs if owners.size == coeffs.shape[1] else coeffs[:, owners])
-            # an overflow is inf without a warning, as in scipy's sparse product
-            with np.errstate(over="ignore"):
-                vals *= peaks
-            np.maximum(best, np.max(vals, axis=1), out=best)
+    owners, peaks, rests = _sup_split(field, b, r)
+    if owners.size:
+        # every term owns a column on disjoint bumps: no copy of the coefficients
+        vals = np.abs(coeffs if owners.size == coeffs.shape[1] else coeffs[:, owners])
+        # an overflow is inf without a warning, as in scipy's sparse product
+        with np.errstate(over="ignore"):
+            vals *= peaks
+        np.maximum(best, np.max(vals, axis=1), out=best)
+    for rest in rests:
         if rest.shape[1]:
             vals = apply_design(coeffs, rest)
             # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary

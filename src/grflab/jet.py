@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import SamplePath, _blocks, _dense, _design, eval_sample
+from .field import SamplePath, _blocks, _column_blocks, _dense, _design, eval_sample
 from .kernel import CovarianceKernel, KLKernel, eval_kernel_deriv_pairs
 from .linalg import eigvalsh
 from .multiindex import multi_indices
@@ -70,7 +70,8 @@ def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int):
     so entries that would be subnormal keep their bits and ratios.
     """
     if isinstance(K, KLKernel):
-        designs = [_design(K.field, pts, a) for a in multi_indices(K.m, r)]
+        alphas = multi_indices(K.m, r)
+        designs = _column_blocks(_design(K.field, pts, *alphas), len(alphas))
         jets = [d[:, c::K.k] for c in range(K.k) for d in designs]  # component-major
         top = np.zeros(pts.shape[0])
         for J in jets if K.field.size else ():  # no terms: every maximum is 0
@@ -81,7 +82,13 @@ def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int):
         jets = [J * np.ldexp(1.0, up) * np.ldexp(1.0, -e_pts - up) for J in jets]
         _, e_sig = np.frexp(K.field.sigma_array.max(initial=0.0))
         w = np.ldexp(K.field.sigma_array, -e_sig)[:, None] ** 2
-        cov = np.array([[(w * J * L).sum(axis=0) for L in jets] for J in jets]).transpose(2, 0, 1)
+        # w * J once per slice; (w * J) * L rounds as w * J * L
+        if isinstance(jets[0], np.ndarray):  # a dense slice against every slice in one product
+            J = np.stack(jets)
+            cov = np.array([(wJ * J).sum(axis=1) for wJ in w * J]).transpose(2, 0, 1)
+        else:
+            cov = np.array([[(wJ * L).sum(axis=0) for L in jets]
+                            for wJ in (w * J for J in jets)]).transpose(2, 0, 1)
         exponents = 2 * (e_sig + e_pts)
     else:
         alphas = multi_indices(K.m, r)

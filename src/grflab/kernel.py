@@ -32,7 +32,8 @@ from typing import Union
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import _TILE_ENTRIES, KLField, _blocks, _dense, _design, box_design
+from .field import (_TILE_ENTRIES, KLField, _blocks, _column_blocks, _dense, _design,
+                    box_design)
 from .linalg import eig_bounds
 from .multiindex import MultiIndex, multi_indices, order as mi_order, validate as mi_validate
 
@@ -131,16 +132,20 @@ def eval_kernel_deriv_pairs(K: CovarianceKernel, X: np.ndarray, Y: np.ndarray,
         # stacked (1, m) @ (m, 1) products round like one pair's p @ q
         dot = np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
         return _closed_form_values(K, X, Y, dot, a, b).reshape(-1, 1, 1)
-    field, k = K.field, K.k
-    out = np.empty((X.shape[0], k, k))
-    w = field.sigma_array ** 2
-    for rows in _blocks(X.shape[0], field.size * k * k):
-        fp = _design(field, X[rows], a)
-        fq = _design(field, Y[rows], b)
-        for j, l in np.ndindex(k, k):
-            # per-term products first: commutativity then makes the
-            # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
-            out[rows, j, l] = w @ (fp[:, j::k] * fq[:, l::k])
+    out = np.empty((X.shape[0], K.k, K.k))
+    for r in _blocks(X.shape[0], K.field.size * K.k * K.k):
+        out[r] = _pair_values(K.field, _design(K.field, X[r], a), _design(K.field, Y[r], b))
+    return out
+
+
+def _pair_values(field: KLField, fp, fq) -> np.ndarray:
+    """(n, k, k) kernel values at point pairs from the designs at either end."""
+    k, w = field.k, field.sigma_array ** 2
+    out = np.empty((fp.shape[1] // k, k, k))
+    for j, l in np.ndindex(k, k):
+        # per-term products first: commutativity then makes the
+        # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
+        out[:, j, l] = w @ (fp[:, j::k] * fq[:, l::k])
     return out
 
 
@@ -231,7 +236,7 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
     alphas = multi_indices(field.m, spec.order)
     pts = grid_points(spec.box)
     scale = field.sigma_array[:, None]
-    designs = {a: box_design(field, spec.box, a) for a in alphas}
+    designs = dict(zip(alphas, _column_blocks(box_design(field, spec.box, *alphas), len(alphas))))
     right = {a: signs[:, None] * scale * d for a, d in designs.items()}
     weights = np.r_[signs, [c for c, _ in closed]]
     if (weights > 0).all() or (weights < 0).all():
@@ -315,8 +320,13 @@ def check_symmetry(K, point_pairs, tol: float = 1e-12) -> SymmetryReport:
             raise ValueError(f"need (n, 2, {K.m}) point pairs, got shape {pairs.shape}")
         P, Q = np.ascontiguousarray(pairs.reshape(-1, 2, K.m).transpose(1, 0, 2))
         zero = (0,) * K.m
-        gaps = [eval_kernel_deriv_pairs(K, P, Q, zero, zero)
-                - eval_kernel_deriv_pairs(K, Q, P, zero, zero).transpose(0, 2, 1)]
+        if isinstance(K, KLKernel):  # the designs at P and at Q serve both orders of a pair
+            gaps = [_pair_values(K.field, p, q) - _pair_values(K.field, q, p).transpose(0, 2, 1)
+                    for p, q in ((_design(K.field, P[r], zero), _design(K.field, Q[r], zero))
+                                 for r in _blocks(len(P), K.field.size * K.k * K.k))]
+        else:
+            gaps = [eval_kernel_deriv_pairs(K, P, Q, zero, zero)
+                    - eval_kernel_deriv_pairs(K, Q, P, zero, zero).transpose(0, 2, 1)]
     else:
         fn = _callable_fn(K)
         gaps = [fn(p, q) - fn(q, p).T for p, q in point_pairs]

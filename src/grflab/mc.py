@@ -95,6 +95,9 @@ def _zero_count_rows(vals: np.ndarray) -> np.ndarray:
     sign = (vals > 0.0).view(np.int8)
     sign += vals >= 0.0
     sign -= 1
+    # a windowed product is F-ordered; the scans below read rows, so copy the signs,
+    # one byte per value, row-major (a no-op for dense products)
+    sign = np.ascontiguousarray(sign)
     return _row_counts(sign == 0) + _row_counts(sign[:, :-1] * sign[:, 1:] < 0)
 
 

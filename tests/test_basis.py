@@ -6,7 +6,7 @@ import pytest
 from grflab import (BUMP_MAX_DERIV_ORDER, Bump, Harmonic, IntegratedBump, Monomial,
                     OrderUnsupportedError, Scaled, box, fd_check, grid_points,
                     unit_interval)
-from grflab.basis import _partial_moments
+from grflab.basis import _horner, _partial_moments, _profile_poly
 from grflab.multiindex import multi_indices
 
 # order-adapted finite-difference steps: truncation shrinks with h while
@@ -24,6 +24,19 @@ def test_monomial_values():
     assert f.eval_partial([3.0], (1,))[0] == 6.0
     assert f.eval_partial([3.0], (2,))[0] == 2.0
     assert f.eval_partial([3.0], (3,))[0] == 0.0
+
+
+def test_profile_polynomials_evaluate_as_polyval():
+    """Integer R_n by Horner's rule round as numpy's polyval of their floats."""
+    from numpy.polynomial.polynomial import polyval
+
+    s = np.random.default_rng(5).uniform(0.0, 1.0, 2000)
+    u = np.concatenate([1.0 / (1.0 - s), [1.0, 2.0, 2.0**52]])
+    assert _profile_poly(1) == (0, 0, -1)  # d/ds exp(1 - u) = -u^2 exp(1 - u)
+    for n in range(BUMP_MAX_DERIV_ORDER + 1):
+        coef = _profile_poly(n)
+        assert all(type(c) is int for c in coef) and coef[-1] == (-1) ** n
+        assert _horner(coef, u).tobytes() == polyval(u, np.array(coef, dtype=float)).tobytes()
 
 
 def test_monomial_multivariate():

@@ -8,17 +8,21 @@ from hypothesis import example, given, settings, strategies as st
 
 import scipy.sparse as sp
 
-from grflab import (Box, Bump, Harmonic, IllConditionedError, Monomial, OrderUnsupportedError,
+from grflab import (Box, Bump, Harmonic, IllConditionedError, IntegratedBump, Monomial,
+                    OrderUnsupportedError,
                     RandomStream, SamplePath, Scaled, cm_inner, eval_kernel, eval_sample,
                     grid_points, kernel_of, kl_field, projection_residual,
                     sample, sample_seminorm, scan_nondegeneracy, support_basis,
                     unit_interval)
 import grflab.field
 from grflab import counterexample as cx
-from grflab.field import (_design, _sup_split, apply_design, batch_seminorms, box_design,
-                          sample_batch_coeffs)
+from grflab.basis import bump_partial
+from grflab.field import (_column_blocks, _design, _sup_split, apply_design, batch_seminorms,
+                          box_design, sample_batch_coeffs)
 from grflab.jet import _jet_covariances
 from grflab.kernel import check_psd, eval_kernel_deriv_pairs
+from grflab.mc import _zero_count_rows
+from grflab.multiindex import multi_indices
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -205,8 +209,8 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         dense[0, 0] = 1.0
     # a dense design's split for grid sups is all rest: the design itself
-    owners, peaks, rest = _sup_split(kl_field([ONE, T]), b, (0,))
-    assert owners.size == peaks.size == 0 and rest is dense
+    owners, peaks, rests = _sup_split(kl_field([ONE, T]), b, 0)
+    assert owners.size == peaks.size == 0 and rests == (dense,) and rests[0] is dense
     assert not (owners.flags.writeable or peaks.flags.writeable)
     # a bump field's design is windowed-sparse at every grid size
     bumps = kl_field([Bump((0.02 * i + 0.01,), 0.005, (1.0,)) for i in range(50)])
@@ -339,20 +343,20 @@ def test_grid_sups_from_peaks_equal_the_windowed_product(case, r, seed):
     for a in range(r + 1):
         product = coeffs @ sp.csr_array(_per_function_design(field, pts, (a,)))
         want = np.maximum(want, np.max(np.abs(product), axis=1))
-        owners, peaks, rest = _sup_split(field, b, (a,))
-        for arr in (owners, peaks, rest.data, rest.indices, rest.indptr):
-            assert not arr.flags.writeable
+    owners, peaks, (rest,) = _sup_split(field, b, r)
+    for arr in (owners, peaks, rest.data, rest.indices, rest.indptr):
+        assert not arr.flags.writeable
     assert np.array_equal(batch_seminorms(field, coeffs, b, r), want)
     if case is _NESTED:
         # the nested first term and the term outside the box own no one-entry column
-        assert _sup_split(field, b, (0,))[0].tolist() == [1, 2]
+        assert _sup_split(field, b, 0)[0].tolist() == [1, 2]
 
 
 def test_grid_sups_from_peaks_overflow_to_inf_silently():
     # |c|*peak = 1e200 * 1e200: inf without a warning, as the sparse product gave
     field = kl_field([Bump((0.25,), 0.2, (1e200,)), Bump((0.75,), 0.2, (1.0,))])
     b = unit_interval(8)
-    assert _sup_split(field, b, (0,))[0].tolist() == [0, 1]
+    assert _sup_split(field, b, 0)[0].tolist() == [0, 1]
     sups = batch_seminorms(field, np.array([[1e200, 1.0], [1.0, 1.0]]), b, 0)
     assert sups[0] == np.inf and sups[1] == 1e200
 
@@ -394,7 +398,7 @@ def _native_and_dense(field, fn):
     assert isinstance(_design(field, np.zeros((1, 1)), (0,)), sp.csr_array)
     native = fn(field)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grflab.field, "_bump_windows", lambda f: None)
+        mp.setattr(grflab.field, "_windowed", lambda f: False)
         assert isinstance(_design(field, np.zeros((1, 1)), (0,)), np.ndarray)
         return native, fn(field)
 
@@ -498,8 +502,8 @@ def test_small_bump_fields_are_windowed(n):
         assert np.array_equal(batch_seminorms(field, coeffs, b, a[0]), ref)
 
 
-def test_only_the_design_builder_imports_scipy_sparse():
-    # whether a design is sparse is decided, and known, in field.py alone
+def _importers(module: str) -> set:
+    """Modules of the package that import ``module`` or one of its submodules."""
     package = Path(grflab.field.__file__).parent
     importers = set()
     for path in package.rglob("*.py"):
@@ -510,7 +514,108 @@ def test_only_the_design_builder_imports_scipy_sparse():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
-                   for name in names):
+            if any(name == module or name.startswith(module + ".") for name in names):
                 importers.add(path.relative_to(package).as_posix())
-    assert importers == {"field.py"}
+    return importers
+
+
+def test_only_the_design_builder_imports_scipy_sparse():
+    # whether a design is sparse is decided, and known, in field.py alone
+    assert _importers("scipy.sparse") == {"field.py"}
+    # bump partials evaluate integer profile polynomials by Horner's rule
+    assert _importers("numpy.polynomial") == set()
+
+
+@st.composite
+def mixed_fields(draw):
+    """Harmonics, monomials, bumps and (in 1-D) integrated bumps, some of
+    them scaled up to twice, with m = 1-3, k = 1-2, at G = 1, 2, 7 or 64
+    points; a 1-D scalar all-bump draw takes the windowed design."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    coord = st.floats(-1.0, 2.0)
+    amplitude = st.tuples(*[st.floats(-2.0, 2.0)] * k)
+    families = [
+        st.builds(Harmonic, st.tuples(*[st.floats(-9.0, 9.0)] * m), st.floats(-3.0, 3.0),
+                  amplitude),
+        st.builds(Monomial, st.tuples(*[st.integers(0, 4)] * m), amplitude),
+        st.builds(Bump, st.tuples(*[coord] * m), st.floats(0.05, 1.0), amplitude),
+    ]
+    if m == 1:
+        families.append(st.builds(IntegratedBump, st.tuples(coord), st.floats(0.05, 1.0),
+                                  amplitude, st.integers(1, 2)))
+    terms = st.one_of(*families)
+    if k == 1 and m == 1 and draw(st.booleans()):
+        terms = families[2]
+    basis = []
+    for f in draw(st.lists(terms, min_size=1, max_size=8)):
+        for _ in range(draw(st.integers(0, 2))):
+            f = Scaled(f, draw(st.floats(-3.0, 3.0)))
+        basis.append(f)
+    g = draw(st.sampled_from([1, 2, 7, 64]))
+    pts = np.array(draw(st.lists(st.tuples(*[coord] * m), min_size=g, max_size=g)))
+    return kl_field(basis), pts.reshape(g, m)
+
+
+def _one_term_partial(f, pts, alpha):
+    """(G, k) partial of one term, each family in its own loop: the reference
+    that the family evaluators must round like."""
+    if isinstance(f, Scaled):
+        return f.factor * _one_term_partial(f.inner, pts, alpha)
+    if isinstance(f, IntegratedBump):
+        return f._eval_partial(pts, alpha)
+    amplitude = np.asarray(f.amplitude, dtype=np.float64)
+    if isinstance(f, Bump):
+        return np.outer(bump_partial(pts, np.asarray(f.center), f.radius, (alpha,))[0], amplitude)
+    coeff, values = 1.0, np.ones(len(pts))
+    if isinstance(f, Monomial):
+        for i, (e, a) in enumerate(zip(f.exponents, alpha)):
+            if a > e:
+                return np.zeros((len(pts), f.k))
+            coeff *= math.perm(e, a)
+            if e - a:
+                values = values * pts[:, i] ** (e - a)
+    else:
+        for w, a in zip(f.frequency, alpha):
+            coeff *= w ** a
+        theta = pts @ np.asarray(f.frequency, dtype=np.float64) + f.phase
+        shift = sum(alpha) % 4  # cos, -sin, -cos, sin
+        values = [np.cos, np.sin][shift % 2](theta) * (-1.0 if shift in (1, 2) else 1.0)
+    return np.outer(coeff * values, amplitude)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_fields(), st.integers(0, 3))
+def test_multi_order_design_equals_one_term_designs(case, r):
+    """All orders <= r built at once equal, bit for bit, each term's own
+    design one order at a time and the one-term reference; a windowed
+    design stores no zeros, so only there a signed zero may read +0.0."""
+    field, pts = case
+    alphas = multi_indices(field.m, r)
+    blocks = _column_blocks(_design(field, pts, *alphas), len(alphas))
+    for a, block in zip(alphas, blocks):
+        windowed = sp.issparse(block)
+        block = block.toarray() if windowed else block
+        for row, f in zip(block, field.basis):
+            one = _design(kl_field([f]), pts, a)
+            want = _one_term_partial(f, pts, a).ravel()
+            if windowed or sp.issparse(one):
+                assert np.array_equal(row, one.toarray()[0] if sp.issparse(one) else one[0])
+                assert np.array_equal(row, want)
+            else:
+                assert row.tobytes() == one[0].tobytes() == want.tobytes()
+
+
+def test_zero_counts_of_a_windowed_product_scan_its_rows():
+    """``coeffs @ csr_array`` is F-ordered; the zero-count scan copies its signs
+    row-major and counts what a C-ordered copy and a direct count give."""
+    cfg = cx.config(10)
+    field, b = cx.build_X_n(cfg), cx.grid_box(cfg)
+    design = box_design(field, b, (0,))
+    coeffs = sample_batch_coeffs(field, 3, np.arange(48))
+    vals = apply_design(coeffs, design)
+    assert vals.flags.f_contiguous and not vals.flags.c_contiguous
+    assert vals.tobytes() == (coeffs @ design).tobytes()
+    counts = _zero_count_rows(vals)
+    assert np.array_equal(counts, _zero_count_rows(np.ascontiguousarray(vals)))
+    assert np.array_equal(counts, [np.count_nonzero(v == 0.0) + np.count_nonzero(
+        np.sign(v[:-1]) * np.sign(v[1:]) < 0) for v in vals])

@@ -7,7 +7,8 @@ from grflab import (Bump, ClosedFormKernel, Harmonic, Monomial, SamplePath, Scal
                     nondegeneracy_certificate, scan_nondegeneracy, unit_interval)
 from grflab.basis import box, grid_points
 from grflab.kernel import eval_kernel_deriv
-from grflab.field import _design, apply_design, sample_batch_coeffs
+from grflab.field import _column_blocks, _design, apply_design, sample_batch_coeffs
+from grflab.jet import _jet_covariances
 from grflab.multiindex import multi_indices
 
 ONE = Monomial((0,), (1.0,))
@@ -281,3 +282,26 @@ def test_scan_is_invariant_under_power_of_two_sigmas():
         tiny = kl_field(field.basis, [s * 2.0 ** -530 for s in field.sigmas])
         assert scan_nondegeneracy(kernel_of(tiny), b, r) == scan_nondegeneracy(
             kernel_of(field), b, r)
+
+
+def test_dense_jet_covariances_equal_the_slice_by_slice_sums():
+    """A dense design's jet covariances come from one product of every pair of
+    jet slices; they equal, bit for bit, ``(w * J) * L`` summed over the terms
+    one slice pair at a time, as windowed designs are summed."""
+    cases = [
+        (kl_field([ONE, T, Harmonic((2.0,), 0.3, (1.0,)), Bump((0.4,), 0.3, (0.7,))],
+                  (1.0, 0.7, 1.1, 0.9)), grid_points(unit_interval(16)), 3),
+        (kl_field([Monomial((1, 2), (1.0, -0.5)), Harmonic((1.0, 2.0), 0.3, (0.5, 2.0)),
+                   Scaled(Bump((0.2, 0.1), 0.9, (0.7, 0.1)), -1.5)], (1.2, 0.8, 0.5)),
+         grid_points(box([0.0, 0.0], [1.0, 1.0], 4)), 2),
+    ]
+    for field, pts, r in cases:
+        cov, exponents = _jet_covariances(kernel_of(field), pts, r)
+        alphas = multi_indices(field.m, r)
+        blocks = _column_blocks(_design(field, pts, *alphas), len(alphas))
+        _, e_sig = np.frexp(max(field.sigmas))
+        e_pts = exponents // 2 - e_sig
+        jets = [np.ldexp(d[:, c::field.k], -e_pts) for c in range(field.k) for d in blocks]
+        w = np.ldexp(field.sigma_array, -e_sig)[:, None] ** 2
+        want = np.array([[(w * J * L).sum(axis=0) for L in jets] for J in jets]).transpose(2, 0, 1)
+        assert cov.tobytes() == (0.5 * (want + want.transpose(0, 2, 1))).tobytes()
