@@ -24,12 +24,9 @@ A partial of order ``d`` carries ``rho**-d``.  Term lists and ``R_n`` are
 built at first use and cached up to total order 4; higher orders raise
 :class:`OrderUnsupportedError` rather than silently truncating.
 
-Values come from a basis' family table (:func:`families`): harmonics,
-monomials and bumps each evaluate all their terms at once, for every
-requested multi-index in one pass; integrated bumps go term by term, and
-:class:`Scaled` factors are rows applied after the amplitude.
-:meth:`BasisFunction.eval_partial` is a one-term table, so a value has the
-same bits alone as in a design.
+Values come from a family table (:func:`families`): each family evaluates
+all its terms, for all requested multi-indices, in one pass, and a lone
+term is a one-term table, so it has the same bits alone as in a design.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -155,8 +152,13 @@ class BasisFunction:
         a = mi_validate(alpha, self.m)
         pts, single = _as_points(p, self.m)
         out = np.empty((1, 1, pts.shape[0], self.k))
-        evaluate(_one_term_table(self), pts, (a,), out)
+        evaluate(self._table, pts, (a,), out)
         return out[0, 0, 0] if single else out[0, 0]
+
+    @cached_property
+    def _table(self) -> tuple:
+        # on the term: a cache keyed by equality would not tell -0.0 from +0.0
+        return families((self,))
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,23 @@ class Monomial(BasisFunction):
     def k(self) -> int:
         return len(self.amplitude)
 
+    @staticmethod
+    def _params(fs) -> tuple:
+        return ([f.exponents for f in fs],)
+
+    @staticmethod
+    def _values(pts, alphas, amplitudes, exponents) -> np.ndarray:
+        left = np.array(exponents)[:, None, :] - np.array(alphas)  # (n, A, m) powers left
+        mono = 1.0
+        for i, p in enumerate(left.transpose(2, 0, 1)):
+            # x_i ** q with a scalar q, as one term takes it; q <= 0 multiplies by an exact 1.0
+            powers = np.array([np.ones(len(pts)), *(pts[:, i] ** q for q in range(1, p.max() + 1))])
+            mono = mono * powers[np.maximum(p, 0)]
+        coeffs = [[math.prod(map(math.perm, e, a), start=1.0) for a in alphas] for e in exponents]
+        vals = _outer(np.array(coeffs)[..., None] * mono, amplitudes)
+        vals[(left < 0).any(axis=2)] = 0.0  # +0.0 before any factor
+        return vals
+
 
 @dataclass(frozen=True)
 class Harmonic(BasisFunction):
@@ -194,6 +213,23 @@ class Harmonic(BasisFunction):
     def k(self) -> int:
         return len(self.amplitude)
 
+    @staticmethod
+    def _params(fs) -> tuple:
+        return [f.frequency for f in fs], np.array([f.phase for f in fs], dtype=np.float64)
+
+    @staticmethod
+    def _values(pts, alphas, amplitudes, freqs, phases) -> np.ndarray:
+        # one pts @ w per term: a stacked pts @ W.T rounds 2-D phases differently
+        theta = np.array([pts @ w for w in np.array(freqs, dtype=np.float64)]) + phases[:, None]
+        orders = [mi_order(a) for a in alphas]
+        trig = {p: (np.sin if p else np.cos)(theta) for p in {d % 2 for d in orders}}
+        # d-th derivatives of cos: cos, -sin, -cos, sin; the sign folds exactly into
+        # w^a, a Python float
+        coeffs = [[(-1.0 if d % 4 in (1, 2) else 1.0) * math.prod(map(pow, w, a), start=1.0)
+                   for a, d in zip(alphas, orders)] for w in freqs]
+        return _outer(np.array(coeffs)[..., None] * np.stack([trig[d % 2] for d in orders], 1),
+                      amplitudes)
+
 
 # -- bump derivatives -------------------------------------------------------
 
@@ -205,14 +241,6 @@ def _profile_poly(n: int) -> tuple:
     r = _profile_poly(n - 1)
     # u^2 (R' - R): R' has one coefficient fewer, so R's last one is -R's
     return (0, 0, *(i * c - b for i, (b, c) in enumerate(zip(r, r[1:] + (0,)), 1)))
-
-
-def _horner(coef: tuple, x: np.ndarray) -> np.ndarray:
-    """sum_i coef[i] x^i in the operations of numpy's ``polyval``, so in its bits."""
-    acc = coef[-1] + x * 0
-    for c in coef[-2::-1]:
-        acc = c + acc * x
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -254,8 +282,8 @@ def bump_partial(pts: np.ndarray, centers, radii, alphas) -> np.ndarray:
                 continue
             total = np.zeros(u.size)  # +0.0, so an exact zero is not -0.0
             for c, exponents, n in _bump_terms(tuple(alpha)):
-                if n not in powers:
-                    powers[n] = _horner(_profile_poly(n), u)
+                if n not in powers:  # np.polyval's steps round as numpy.polynomial's polyval
+                    powers[n] = np.polyval(_profile_poly(n)[::-1], u)
                 term = c * powers[n]
                 for i, p in enumerate(exponents):
                     if p:
@@ -292,6 +320,18 @@ class Bump(BasisFunction):
     @property
     def k(self) -> int:
         return len(self.amplitude)
+
+    @staticmethod
+    def _params(fs) -> tuple:
+        return (np.array([f.center for f in fs], dtype=np.float64),
+                np.array([f.radius for f in fs], dtype=np.float64))
+
+    @staticmethod
+    def _values(pts, alphas, amplitudes, centers, radii) -> np.ndarray:
+        n, g = radii.size, pts.shape[0]
+        args = np.tile(pts, (n, 1)), np.repeat(centers, g, axis=0), np.repeat(radii, g)
+        vals = bump_partial(*args, alphas).reshape(len(alphas), n, g)
+        return _outer(vals.transpose(1, 0, 2), amplitudes)
 
 
 # tanh-sinh rule, h = 1/32 on [-6, 6]: on [a, b] a node lies (b - a) * _TS_LEFT from a and
@@ -336,6 +376,14 @@ class IntegratedBump(BasisFunction):
     def k(self) -> int:
         return len(self.amplitude)
 
+    @staticmethod
+    def _params(fs) -> tuple:
+        return (fs,)
+
+    @staticmethod
+    def _values(pts, alphas, amplitudes, fs) -> np.ndarray:
+        return np.array([[f._eval_partial(pts, a) for a in alphas] for f in fs])
+
     def _eval_partial(self, pts, alpha):
         q = self.order - alpha[0]
         if q <= 0:
@@ -379,91 +427,28 @@ def _outer(vals: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return vals[..., None] * amplitudes[:, None, None, :]
 
 
-def _harmonic_values(pts, alphas, amplitudes, freqs, phases, freq_tuples):
-    # one pts @ w per term: a stacked pts @ W.T rounds 2-D phases differently
-    theta = np.array([pts @ w for w in freqs]) + phases[:, None]
-    orders = [mi_order(a) for a in alphas]
-    trig = {p: (np.sin if p else np.cos)(theta) for p in {d % 2 for d in orders}}
-    vals = np.empty((len(freqs), len(alphas), len(pts)))
-    for i, (a, d) in enumerate(zip(alphas, orders)):
-        # the d-th derivative of cos is cos, -sin, -cos, sin for d % 4 = 0, 1, 2, 3; the
-        # sign folds exactly into w^a, a Python float
-        sign = -1.0 if d % 4 in (1, 2) else 1.0
-        coeffs = [sign * math.prod(map(pow, f, a), start=1.0) for f in freq_tuples]
-        np.multiply(np.array(coeffs)[:, None], trig[d % 2], out=vals[:, i])
-    return _outer(vals, amplitudes)
-
-
-def _monomial_values(pts, alphas, amplitudes, exponents, exps):
-    left = exps[:, None, :] - np.array(alphas)  # (n, A, m) powers left
-    mono = 1.0
-    for i, p in enumerate(left.transpose(2, 0, 1)):
-        # x_i ** q with a scalar q, as one term takes it; q <= 0 multiplies by an exact 1.0
-        powers = np.array([np.ones(len(pts)), *(pts[:, i] ** q for q in range(1, p.max() + 1))])
-        mono = mono * powers[np.maximum(p, 0)]
-    coeffs = [[math.prod(map(math.perm, e, a), start=1.0) for a in alphas] for e in exponents]
-    vals = _outer(np.array(coeffs)[..., None] * mono, amplitudes)
-    vals[(left < 0).any(axis=2)] = 0.0  # +0.0 before any factor
-    return vals
-
-
-def _bump_values(pts, alphas, amplitudes, centers, radii):
-    n, g = radii.size, pts.shape[0]
-    args = np.tile(pts, (n, 1)), np.repeat(centers, g, axis=0), np.repeat(radii, g)
-    vals = bump_partial(*args, alphas).reshape(len(alphas), n, g)
-    return _outer(vals.transpose(1, 0, 2), amplitudes)
-
-
-def _stacked(fs, attr: str) -> np.ndarray:
-    # one row per term of a tuple attribute, from one flat list of floats
-    flat = [x for f in fs for x in getattr(f, attr)]
-    return np.array(flat, dtype=np.float64).reshape(len(fs), -1)
-
-
-_FAMILIES = {  # family: (evaluator, what it reads of the unwrapped terms besides amplitudes)
-    Harmonic: (_harmonic_values, lambda fs: (
-        _stacked(fs, "frequency"), np.array([f.phase for f in fs], dtype=np.float64),
-        tuple(f.frequency for f in fs))),
-    Monomial: (_monomial_values, lambda fs: (
-        tuple(f.exponents for f in fs), np.array([f.exponents for f in fs]))),
-    Bump: (_bump_values, lambda fs: (
-        _stacked(fs, "center"), np.array([f.radius for f in fs], dtype=np.float64))),
-    # integrated bumps keep their own evaluator, one term at a time
-    IntegratedBump: (lambda pts, alphas, amplitudes, fs: np.array(
-        [[f._eval_partial(pts, a) for a in alphas] for f in fs]), lambda fs: (fs,)),
-}
-
-
 def families(fs) -> tuple:
     """The family table of the basis ``fs``: ``(kind, rows, params, factors)`` per family.
 
-    ``kind`` is a key of ``_FAMILIES``, ``rows`` the terms' positions in ``fs``,
-    ``params`` what its evaluator reads and ``factors`` the terms' :class:`Scaled`
-    factors, one row per level, innermost first, padded with an exact 1.0.
+    ``kind`` is the terms' class, ``rows`` their positions in ``fs``, ``params``
+    their amplitudes and what else ``kind._values`` reads, and ``factors`` their
+    :class:`Scaled` factors, one row per level, innermost first, padded with 1.0.
     """
-    bases, chains = [], []
+    chains = []
     for f in fs:
         factors = ()
         while isinstance(f, Scaled):
             f, factors = f.inner, (f.factor,) + factors
-        bases.append(f)
-        chains.append(factors)
-    kinds = [type(f) for f in bases]
-    depth = max(map(len, chains), default=0)
+        chains.append((f, factors))
+    depth = max((len(c) for _, c in chains), default=0)
     table = []
-    for kind in dict.fromkeys(kinds):
-        rows = [i for i, t in enumerate(kinds) if t is kind]
-        factors = [[chains[i][level] if level < len(chains[i]) else 1.0 for i in rows]
-                   for level in range(depth)]
-        terms = [bases[i] for i in rows]
-        params = (_stacked(terms, "amplitude"), *_FAMILIES[kind][1](terms))
-        table.append((kind, np.array(rows), params,
-                      np.array(factors, dtype=np.float64).reshape(depth, len(rows))))
+    for kind in dict.fromkeys(type(f) for f, _ in chains):
+        rows = [i for i, (f, _) in enumerate(chains) if type(f) is kind]
+        terms, factors = zip(*(chains[i] for i in rows))
+        padded = np.array([(*c, *(1.0,) * (depth - len(c))) for c in factors], dtype=np.float64)
+        params = (np.array([f.amplitude for f in terms], dtype=np.float64), *kind._params(terms))
+        table.append((kind, np.array(rows), params, padded.reshape(len(rows), depth).T))
     return tuple(table)
-
-
-# the family table of one term, for point-wise evaluation
-_one_term_table = lru_cache(maxsize=256)(lambda f: families((f,)))
 
 
 def evaluate(table: tuple, pts: np.ndarray, alphas: tuple, out: np.ndarray) -> None:
@@ -472,7 +457,7 @@ def evaluate(table: tuple, pts: np.ndarray, alphas: tuple, out: np.ndarray) -> N
     ``table`` is the basis' :func:`families`; each value has a lone term's bits.
     """
     for kind, rows, params, factors in table:
-        vals = _FAMILIES[kind][0](pts, alphas, *params)
+        vals = kind._values(pts, alphas, *params)
         for factor in factors:
             vals *= factor[:, None, None, None]
         out[rows] = vals

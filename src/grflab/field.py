@@ -12,14 +12,14 @@ per sample index, so identical ``(seed, index)`` always yields bit-identical
 coefficients and windowed-design values.  BLAS may round the last bits of a
 dense product differently with its row count, so such loops use fixed sizes.
 
-Designs read a family table built once per field and take every requested
+Designs read the field's family table and build every requested
 derivative order in one pass, stacked by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +68,11 @@ class KLField:
     @property
     def sigma_array(self) -> np.ndarray:
         return np.asarray(self.sigmas, dtype=np.float64)
+
+    @cached_property
+    def _families(self) -> tuple:
+        # the basis' family table, kept on the field like BasisFunction._table
+        return families(self.basis)
 
 
 def kl_field(basis: Sequence[BasisFunction], sigmas=None, m=None, k=None) -> KLField:
@@ -139,13 +144,9 @@ def _blocks(n: int, per_item: int, budget: int | None = None):
         yield slice(start, min(start + step, n))
 
 
-# the basis' family table (grflab.basis.families), built once per field
-_families = lru_cache(maxsize=64)(lambda field: families(field.basis))
-
-
 def _windowed(field: KLField) -> bool:
     """A non-empty field of (scaled) bumps with m = k = 1."""
-    table = _families(field)
+    table = field._families
     return field.m == field.k == 1 and len(table) == 1 and table[0][0] is Bump
 
 
@@ -193,12 +194,12 @@ def _design(field: KLField, pts: np.ndarray, *alphas):
     if pts.ndim != 2 or pts.shape[1] != field.m:
         raise ValueError(f"points of shape {pts.shape} do not match dimension {field.m}")
     if _windowed(field):
-        ((_, _, (amplitudes, centers, radii), factors),) = _families(field)
+        ((_, _, (amplitudes, centers, radii), factors),) = field._families
         return _windowed_design(pts[:, 0], alphas, centers[:, 0], radii,
                                 np.vstack([amplitudes.T, factors]))
     _check_entries(field.size * pts.shape[0] * field.k)
     out = np.empty((field.size, len(alphas), pts.shape[0], field.k))
-    evaluate(_families(field), pts, alphas, out)
+    evaluate(field._families, pts, alphas, out)
     return out.reshape(field.size, len(alphas) * pts.shape[0] * field.k)
 
 

@@ -83,12 +83,8 @@ def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int):
         _, e_sig = np.frexp(K.field.sigma_array.max(initial=0.0))
         w = np.ldexp(K.field.sigma_array, -e_sig)[:, None] ** 2
         # w * J once per slice; (w * J) * L rounds as w * J * L
-        if isinstance(jets[0], np.ndarray):  # a dense slice against every slice in one product
-            J = np.stack(jets)
-            cov = np.array([(wJ * J).sum(axis=1) for wJ in w * J]).transpose(2, 0, 1)
-        else:
-            cov = np.array([[(wJ * L).sum(axis=0) for L in jets]
-                            for wJ in (w * J for J in jets)]).transpose(2, 0, 1)
+        cov = np.array([[(wJ * L).sum(axis=0) for L in jets]
+                        for wJ in (w * J for J in jets)]).transpose(2, 0, 1)
         exponents = 2 * (e_sig + e_pts)
     else:
         alphas = multi_indices(K.m, r)

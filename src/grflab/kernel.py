@@ -132,20 +132,22 @@ def eval_kernel_deriv_pairs(K: CovarianceKernel, X: np.ndarray, Y: np.ndarray,
         # stacked (1, m) @ (m, 1) products round like one pair's p @ q
         dot = np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
         return _closed_form_values(K, X, Y, dot, a, b).reshape(-1, 1, 1)
-    out = np.empty((X.shape[0], K.k, K.k))
-    for r in _blocks(X.shape[0], K.field.size * K.k * K.k):
-        out[r] = _pair_values(K.field, _design(K.field, X[r], a), _design(K.field, Y[r], b))
-    return out
+    return _pair_values(K.field, X, Y, a, b)
 
 
-def _pair_values(field: KLField, fp, fq) -> np.ndarray:
-    """(n, k, k) kernel values at point pairs from the designs at either end."""
+def _pair_values(field: KLField, X, Y, a, b, gap: bool = False) -> np.ndarray:
+    """(n, k, k) d_a d_b K at the pairs (X[i], Y[i]), or with ``gap`` K(X, Y) - K(Y, X)^T
+    from the same designs at X and at Y (a = b)."""
     k, w = field.k, field.sigma_array ** 2
-    out = np.empty((fp.shape[1] // k, k, k))
-    for j, l in np.ndindex(k, k):
-        # per-term products first: commutativity then makes the
-        # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
-        out[:, j, l] = w @ (fp[:, j::k] * fq[:, l::k])
+    out = np.empty((X.shape[0], k, k))
+    for rows in _blocks(X.shape[0], field.size * k * k):
+        fp, fq = _design(field, X[rows], a), _design(field, Y[rows], b)
+        for j, l in np.ndindex(k, k):
+            # per-term products first: commutativity then makes the
+            # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
+            out[rows, j, l] = w @ (fp[:, j::k] * fq[:, l::k])
+            if gap:
+                out[rows, j, l] -= w @ (fq[:, l::k] * fp[:, j::k])
     return out
 
 
@@ -321,9 +323,7 @@ def check_symmetry(K, point_pairs, tol: float = 1e-12) -> SymmetryReport:
         P, Q = np.ascontiguousarray(pairs.reshape(-1, 2, K.m).transpose(1, 0, 2))
         zero = (0,) * K.m
         if isinstance(K, KLKernel):  # the designs at P and at Q serve both orders of a pair
-            gaps = [_pair_values(K.field, p, q) - _pair_values(K.field, q, p).transpose(0, 2, 1)
-                    for p, q in ((_design(K.field, P[r], zero), _design(K.field, Q[r], zero))
-                                 for r in _blocks(len(P), K.field.size * K.k * K.k))]
+            gaps = [_pair_values(K.field, P, Q, zero, zero, gap=True)]
         else:
             gaps = [eval_kernel_deriv_pairs(K, P, Q, zero, zero)
                     - eval_kernel_deriv_pairs(K, Q, P, zero, zero).transpose(0, 2, 1)]

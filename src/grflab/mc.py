@@ -95,8 +95,7 @@ def _zero_count_rows(vals: np.ndarray) -> np.ndarray:
     sign = (vals > 0.0).view(np.int8)
     sign += vals >= 0.0
     sign -= 1
-    # a windowed product is F-ordered; the scans below read rows, so copy the signs,
-    # one byte per value, row-major (a no-op for dense products)
+    # the scans read rows: copy the signs of an F-ordered (windowed) product row-major
     sign = np.ascontiguousarray(sign)
     return _row_counts(sign == 0) + _row_counts(sign[:, :-1] * sign[:, 1:] < 0)
 

@@ -6,7 +6,8 @@ import pytest
 from grflab import (BUMP_MAX_DERIV_ORDER, Bump, Harmonic, IntegratedBump, Monomial,
                     OrderUnsupportedError, Scaled, box, fd_check, grid_points,
                     unit_interval)
-from grflab.basis import _horner, _partial_moments, _profile_poly
+from grflab.basis import _partial_moments, _profile_poly
+from grflab.field import _design, kl_field
 from grflab.multiindex import multi_indices
 
 # order-adapted finite-difference steps: truncation shrinks with h while
@@ -27,7 +28,8 @@ def test_monomial_values():
 
 
 def test_profile_polynomials_evaluate_as_polyval():
-    """Integer R_n by Horner's rule round as numpy's polyval of their floats."""
+    """Integer R_n, evaluated by np.polyval as bump partials do, round as
+    numpy.polynomial's polyval of their floats."""
     from numpy.polynomial.polynomial import polyval
 
     s = np.random.default_rng(5).uniform(0.0, 1.0, 2000)
@@ -36,7 +38,23 @@ def test_profile_polynomials_evaluate_as_polyval():
     for n in range(BUMP_MAX_DERIV_ORDER + 1):
         coef = _profile_poly(n)
         assert all(type(c) is int for c in coef) and coef[-1] == (-1) ** n
-        assert _horner(coef, u).tobytes() == polyval(u, np.array(coef, dtype=float)).tobytes()
+        want = polyval(u, np.array(coef, dtype=float))
+        assert np.polyval(coef[::-1], u).tobytes() == want.tobytes()
+
+
+def test_terms_equal_but_for_a_signed_zero_keep_their_own_bits():
+    """Scaled(f, 0.0) == Scaled(f, -0.0), yet each evaluates to its own signed
+    zeros, alone and in a design, whichever is evaluated first."""
+    f = Harmonic((2.0,), 0.3, (1.0,))
+    pts = np.linspace(0.0, 3.0, 7)[:, None]
+    zeros = (0.0, -0.0)  # equal, so a dict would take them for one key
+    want = [(f.eval_partial(pts, (1,)) * z).tobytes() for z in zeros]
+    assert want[0] != want[1]
+    for order in ((0, 1), (1, 0)):
+        for i in order:
+            g = Scaled(f, zeros[i])
+            assert g == Scaled(f, zeros[1 - i]) and g.eval_partial(pts, (1,)).tobytes() == want[i]
+            assert _design(kl_field([g]), pts, (1,)).tobytes() == want[i]
 
 
 def test_monomial_multivariate():

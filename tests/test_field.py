@@ -603,6 +603,7 @@ def test_multi_order_design_equals_one_term_designs(case, r):
                 assert np.array_equal(row, want)
             else:
                 assert row.tobytes() == one[0].tobytes() == want.tobytes()
+                assert f.eval_partial(pts, a).tobytes() == want.tobytes()
 
 
 def test_zero_counts_of_a_windowed_product_scan_its_rows():

@@ -284,10 +284,9 @@ def test_scan_is_invariant_under_power_of_two_sigmas():
             kernel_of(field), b, r)
 
 
-def test_dense_jet_covariances_equal_the_slice_by_slice_sums():
-    """A dense design's jet covariances come from one product of every pair of
-    jet slices; they equal, bit for bit, ``(w * J) * L`` summed over the terms
-    one slice pair at a time, as windowed designs are summed."""
+def test_jet_covariances_equal_the_slice_pair_sums():
+    """Jet covariances form ``w * J`` once per jet slice; they equal, bit for
+    bit, ``w * J * L`` summed over the terms one slice pair at a time."""
     cases = [
         (kl_field([ONE, T, Harmonic((2.0,), 0.3, (1.0,)), Bump((0.4,), 0.3, (0.7,))],
                   (1.0, 0.7, 1.1, 0.9)), grid_points(unit_interval(16)), 3),

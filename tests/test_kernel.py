@@ -210,6 +210,20 @@ def test_check_symmetry_reads_pair_arrays_like_pair_lists():
             check_symmetry(K, np.zeros((3, 2, 3)))
 
 
+def test_check_symmetry_of_a_vector_field_transposes_the_reverse_pairs():
+    """K(p, q) of a k = 2 field is symmetric only up to rounding, while
+    K(p, q) = K(q, p)^T holds exactly: the batched check reports a gap of
+    exactly 0, as the per-pair check does."""
+    field = kl_field([Harmonic((1.0, 2.0), 0.3, (0.3, -0.7)), Monomial((1, 0), (0.2, 1.1)),
+                      Bump((0.4, 0.6), 0.5, (0.7, 0.13))], (1.0, 0.7, 1.3))
+    K = kernel_of(field)
+    pairs = np.random.default_rng(9).random((6, 2, 2))
+    assert any(eval_kernel(K, p, q)[0, 1] != eval_kernel(K, p, q)[1, 0] for p, q in pairs)
+    rep = check_symmetry(K, pairs)
+    assert rep.passed and rep.max_violation == 0.0
+    assert rep == check_symmetry(lambda p, q: eval_kernel(K, p, q), list(pairs))
+
+
 def test_check_psd():
     rep = check_psd(kernel_of(mixed_field()), np.linspace(0, 1, 9).reshape(-1, 1))
     assert rep.passed and rep.min_eigenvalue >= -1e-10
