@@ -14,6 +14,7 @@ import csv
 import gc
 import io
 import json
+import locale  # noqa: F401  (argparse's gettext imports it in the first parse: load it at start-up)
 import os
 import sys
 import tempfile

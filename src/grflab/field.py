@@ -13,7 +13,7 @@ coefficients and windowed-design values.  BLAS may round the last bits of a
 dense product differently with its row count, so such loops use fixed sizes.
 
 Designs read the field's family table and build every requested
-derivative order in one pass, stacked by column.
+derivative order in one pass, stacked by column, :class:`Windowed` for bumps on the line.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import BasisFunction, Box, Bump, bump_partial, evaluate, families, grid_points
 from .linalg import solve_psd_pinv
@@ -155,8 +154,99 @@ def _check_entries(n_entries: int) -> None:
         raise MemoryError(f"design of {n_entries} entries exceeds the supported size")
 
 
+class Windowed:
+    """The non-zero entries of an (N, C) design, read-only and sorted by row, then column.
+
+    Products sum each output from 0.0 in order of the shared index, as CSR products do, so
+    they round and drop zeros as scipy's ``csr_array`` did, and do not warn on overflow.
+    Consumers use ``@`` (also via ``.T``; windowed by windowed stays windowed), column slices
+    and masks, ``*`` by a vector or a windowed matrix, ``abs``, ``.sum`` and ``.max``."""
+
+    __array_ufunc__ = None  # an ndarray's `@` and `*` defer to the reflected methods
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple):
+        nz = data != 0.0
+        self.rows, self.cols, self.data = rows[nz], cols[nz], data[nz]
+        self.shape, self.nnz = tuple(shape), self.data.size
+        for arr in (self.rows, self.cols, self.data):
+            arr.setflags(write=False)
+
+    @property
+    def T(self) -> "Windowed":
+        order = np.lexsort((self.rows, self.cols))
+        return Windowed(self.cols[order], self.rows[order], self.data[order], self.shape[::-1])
+
+    @cached_property
+    def _levels(self) -> list:  # entry indices by rank within their column, in row order
+        by_col = np.argsort(self.cols, kind="stable")
+        rank = np.arange(by_col.size) - np.searchsorted(self.cols[by_col], self.cols[by_col])
+        return np.split(by_col[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank))[:-1])
+
+    def __rmatmul__(self, x) -> np.ndarray:
+        """``x @ self`` for (N,) or (S, N) coefficients: a column appears once per level."""
+        out = np.zeros(x.shape[:-1] + self.shape[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in self._levels:
+                out[..., self.cols[e]] += x[..., self.rows[e]] * self.data[e]
+        return out
+
+    def __matmul__(self, other):
+        if not isinstance(other, Windowed):
+            return (other.T @ self.T).T
+        # entry pairs (i, j) here, (j, l) there in this matrix's order: sums run over j upwards
+        starts = np.searchsorted(other.rows, np.arange(other.shape[0] + 1))
+        counts = np.diff(starts)[self.cols]
+        mine = np.repeat(np.arange(self.nnz), counts)
+        theirs = np.arange(mine.size) - np.repeat(np.cumsum(counts) - counts - starts[self.cols],
+                                                  counts)
+        q = other.shape[1]
+        keys, slots = np.unique(self.rows[mine] * q + other.cols[theirs], return_inverse=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # bincount adds in order
+            sums = np.bincount(slots, self.data[mine] * other.data[theirs], keys.size)
+        return Windowed(keys // q, keys % q, sums, (self.shape[0], q))
+
+    def __mul__(self, other) -> "Windowed":
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(other, Windowed):
+                _, i, j = np.intersect1d(self.rows * self.shape[1] + self.cols,
+                                         other.rows * self.shape[1] + other.cols,
+                                         assume_unique=True, return_indices=True)
+                data = self.data[i] * other.data[j]
+                return Windowed(self.rows[i], self.cols[i], data, self.shape)
+            factor = other[self.rows, 0] if other.ndim == 2 else other[self.cols]
+            return Windowed(self.rows, self.cols, self.data * factor, self.shape)
+
+    __rmul__ = __mul__
+
+    def __abs__(self) -> "Windowed":
+        return Windowed(self.rows, self.cols, np.abs(self.data), self.shape)
+
+    def __getitem__(self, key) -> "Windowed":  # [:, columns]: a slice of step > 0 or a mask
+        kept = np.arange(self.shape[1])[key[1]]
+        new = np.full(self.shape[1], -1)
+        new[kept] = np.arange(kept.size)
+        inside = new[self.cols] >= 0
+        return Windowed(self.rows[inside], new[self.cols[inside]], self.data[inside],
+                        (self.shape[0], kept.size))
+
+    def sum(self, axis: int) -> np.ndarray:
+        return np.ones(self.shape[0]) @ self if axis == 0 else self @ np.ones(self.shape[1])
+
+    def max(self, axis=None):
+        """Largest entry, with the zeros of columns that are not full: of all, or per column."""
+        full = np.bincount(self.cols, minlength=self.shape[1]) == self.shape[0]
+        out = np.where(full, -np.inf, 0.0)
+        np.maximum.at(out, self.cols, self.data)
+        return out if axis == 0 else out.max()
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.data
+        return out
+
+
 def _windowed_design(x: np.ndarray, alphas: tuple, centers: np.ndarray,
-                     radii: np.ndarray, levels: np.ndarray) -> sp.csr_array:
+                     radii: np.ndarray, levels: np.ndarray) -> Windowed:
     # evaluate each row only at the points inside its support window, all
     # rows and orders in one call each.  The windows are found on the points
     # in sorted order; ``order`` maps them back to the caller's columns, so
@@ -172,10 +262,11 @@ def _windowed_design(x: np.ndarray, alphas: tuple, centers: np.ndarray,
     vals = bump_partial(axis[pos, None], centers[rows, None], radii[rows], alphas)
     for factor in levels:
         vals *= factor[rows]
-    nz = vals != 0.0
-    cols = order[pos] + x.shape[0] * np.arange(len(alphas))[:, None]
-    return sp.csr_array((vals[nz], (np.broadcast_to(rows, nz.shape)[nz], cols[nz])),
-                        shape=(centers.size, len(alphas) * x.shape[0]))
+    rows = np.broadcast_to(rows, vals.shape).ravel()
+    cols = (order[pos] + x.shape[0] * np.arange(len(alphas))[:, None]).ravel()
+    entries = np.lexsort((cols, rows))
+    return Windowed(rows[entries], cols[entries], vals.ravel()[entries],
+                    (centers.size, len(alphas) * x.shape[0]))
 
 
 def _design(field: KLField, pts: np.ndarray, *alphas):
@@ -184,7 +275,7 @@ def _design(field: KLField, pts: np.ndarray, *alphas):
     All ``alphas`` are built in one pass over the field's family table; column
     ``(i*G + g)*k + j`` is ``alphas[i]`` at point ``g``, component ``j``, and
     :func:`_column_blocks` cuts out each order.  A :func:`_windowed` field gets
-    a windowed ``csr_array`` at any points; every other field a dense array.
+    a :class:`Windowed` design at any points; every other field a dense array.
     Either is refused with :class:`MemoryError` before it is built when one
     order would store more than ``_BLOCK_ENTRIES`` entries.  Consumers read either
     form through the operations both support: ``@``, elementwise ``*``,
@@ -210,8 +301,8 @@ def _column_blocks(design, n: int) -> list:
 
 
 def _dense(x) -> np.ndarray:
-    """A Gram matrix or per-point maximum of designs, never a design, as an ndarray."""
-    return np.zeros(x.shape) + x
+    """A product of designs, such as a Gram matrix, never a design, as an ndarray."""
+    return x.toarray() if isinstance(x, Windowed) else x
 
 
 @lru_cache(maxsize=64)
@@ -222,8 +313,8 @@ def box_design(field: KLField, b: Box, *alphas):
     shared, so its arrays are read-only.
     """
     design = _design(field, grid_points(b), *alphas)
-    for arr in (design.data, design.indices, design.indptr) if sp.issparse(design) else (design,):
-        arr.setflags(write=False)
+    if isinstance(design, np.ndarray):  # a windowed design is read-only as built
+        design.setflags(write=False)
     return design
 
 
@@ -244,20 +335,18 @@ def _sup_split(field: KLField, b: Box, r: int):
     """
     alphas = multi_indices(field.m, r)
     design = box_design(field, b, *alphas)
-    if sp.issparse(design):
-        per_column = np.bincount(design.indices, minlength=design.shape[1])
-        single = per_column[design.indices] == 1
-        rows = np.repeat(np.arange(design.shape[0]), np.diff(design.indptr))
+    if isinstance(design, Windowed):
+        per_column = np.bincount(design.cols, minlength=design.shape[1])
+        single = per_column[design.cols] == 1
         peaks = np.zeros(design.shape[0])
-        np.maximum.at(peaks, rows[single], np.abs(design.data[single]))
+        np.maximum.at(peaks, design.rows[single], np.abs(design.data[single]))
         owners = np.flatnonzero(peaks)  # stored entries are non-zero
         peaks, rests = peaks[owners], (design[:, per_column >= 2],)
     else:
         owners, peaks = np.empty(0, dtype=np.intp), np.empty(0)
         rests = tuple(_column_blocks(design, len(alphas)))  # views of the read-only design
-    for arr in (owners, peaks, *(x for rest in rests if sp.issparse(rest)
-                                 for x in (rest.data, rest.indices, rest.indptr))):
-        arr.setflags(write=False)
+    owners.setflags(write=False)
+    peaks.setflags(write=False)
     return owners, peaks, rests
 
 
@@ -278,7 +367,7 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
     if owners.size:
         # every term owns a column on disjoint bumps: no copy of the coefficients
         vals = np.abs(coeffs if owners.size == coeffs.shape[1] else coeffs[:, owners])
-        # an overflow is inf without a warning, as in scipy's sparse product
+        # an overflow is inf without a warning, as in a windowed product
         with np.errstate(over="ignore"):
             vals *= peaks
         np.maximum(best, np.max(vals, axis=1), out=best)

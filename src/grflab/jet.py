@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .basis import Box, grid_points
-from .field import SamplePath, _blocks, _column_blocks, _dense, _design, eval_sample
+from .field import SamplePath, _blocks, _column_blocks, _design, eval_sample
 from .kernel import CovarianceKernel, KLKernel, eval_kernel_deriv_pairs
 from .linalg import eigvalsh
 from .multiindex import multi_indices
@@ -75,7 +75,7 @@ def _jet_covariances(K: CovarianceKernel, pts: np.ndarray, r: int):
         jets = [d[:, c::K.k] for c in range(K.k) for d in designs]  # component-major
         top = np.zeros(pts.shape[0])
         for J in jets if K.field.size else ():  # no terms: every maximum is 0
-            top = np.maximum(top, _dense(abs(J).max(axis=0)))
+            top = np.maximum(top, abs(J).max(axis=0))
         _, e_pts = np.frexp(top)
         # 2**-e_pts overflows below a top entry of 2**-1023: scale up in two exact steps
         up = np.minimum(-e_pts, 1023)

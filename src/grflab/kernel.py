@@ -257,10 +257,9 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
             # the tile's rows of the left factor: a column block of the design, scaled
             block = (scale * designs[a][:, rows]).T @ (right[b][:, start:] if start else right[b])
             for c, K in closed:
-                block = block + c * _closed_form_block(K, pts[rows], pts[start:], a, b)
-            # max |entry| without an abs temporary; a sparse block's max and
-            # min count its implicit zeros, also when it stores none
-            best = max(best, float(block.max()), -float(block.min()))
+                block = _dense(block) + c * _closed_form_block(K, pts[rows], pts[start:], a, b)
+            # |entries| in place in a fresh dense block; a windowed max counts the implicit zeros
+            best = max(best, float((np.abs(block, out=block) if dense else abs(block)).max()))
     return best
 
 

@@ -357,8 +357,10 @@ def test_run_builds_only_the_named_subparser(monkeypatch, capsys):
 
 def test_import_loads_no_unused_scipy_subpackages(tmp_path):
     # every command pays for what `import grflab.cli` loads, and none uses
-    # these; jsonschema is only imported to explain a rejected document.
-    # The integrated ensemble's designs, through order 4, need none either
+    # scipy; jsonschema is only imported to explain a rejected document.
+    # A command's run imports nothing more (argparse's gettext wants locale,
+    # which the import loads), and neither do the integrated ensemble's
+    # designs, through order 4, nor a sampling command
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     script = (
         "import json, sys, grflab.cli\n"
@@ -372,18 +374,21 @@ def test_import_loads_no_unused_scipy_subpackages(tmp_path):
         "Y = cx.build_Y_n(cfg)\n"
         "shapes = [_design(Y, grid_points(cx.grid_box(cfg)), (j,)).shape for j in range(5)]\n"
         "print(json.dumps([imported, after_run, sorted(sys.modules), code, shapes]))\n")
-    out = subprocess.run(
-        [sys.executable, "-c", script, "seminorm", "--field", FIELD_AFFINE,
-         "--output", str(tmp_path / "seminorm.json")],
+    runs = [subprocess.run(
+        [sys.executable, "-c", script, *argv, "--output", str(tmp_path / "report.json")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    imported, after_run, after_designs, code, shapes = json.loads(out.stdout)
-    assert "grflab.cli" in imported and code == 0
-    assert shapes == [[4, 257]] * 5
-    for name in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.stats"):
-        assert name not in imported and name not in after_designs
-    for loaded in (imported, after_run):
-        assert not [m for m in loaded
-                    if m.split(".")[0] in ("jsonschema", "referencing", "attrs", "attr")]
+        for argv in (["seminorm", "--field", FIELD_AFFINE],
+                     ["counterexample", "--n", "2", "--samples", "200"])]
+    for i, out in enumerate(runs):
+        imported, after_run, after_designs, code, shapes = json.loads(out.stdout)
+        assert "grflab.cli" in imported and code == 0
+        assert shapes == [[4, 257]] * 5
+        assert not [m for m in after_designs if m.split(".")[0] == "scipy"]
+        if i == 0:
+            assert after_run == imported
+        for loaded in (imported, after_run):
+            assert not [m for m in loaded
+                        if m.split(".")[0] in ("jsonschema", "referencing", "attrs", "attr")]
 
 
 def test_gauss_ratio_command(capsys):

@@ -17,8 +17,8 @@ from grflab import (Box, Bump, Harmonic, IllConditionedError, IntegratedBump, Mo
 import grflab.field
 from grflab import counterexample as cx
 from grflab.basis import bump_partial
-from grflab.field import (_column_blocks, _design, _sup_split, apply_design, batch_seminorms,
-                          box_design, sample_batch_coeffs)
+from grflab.field import (Windowed, _column_blocks, _design, _sup_split, apply_design,
+                          batch_seminorms, box_design, sample_batch_coeffs)
 from grflab.jet import _jet_covariances
 from grflab.kernel import check_psd, eval_kernel_deriv_pairs
 from grflab.mc import _zero_count_rows
@@ -212,11 +212,11 @@ def test_cached_arrays_are_read_only():
     owners, peaks, rests = _sup_split(kl_field([ONE, T]), b, 0)
     assert owners.size == peaks.size == 0 and rests == (dense,) and rests[0] is dense
     assert not (owners.flags.writeable or peaks.flags.writeable)
-    # a bump field's design is windowed-sparse at every grid size
+    # a bump field's design is windowed at every grid size
     bumps = kl_field([Bump((0.02 * i + 0.01,), 0.005, (1.0,)) for i in range(50)])
-    sparse = box_design(bumps, unit_interval(100_000), (0,))
-    assert sparse.nnz > 0
-    for arr in (sparse.data, sparse.indices, sparse.indptr):
+    windowed = box_design(bumps, unit_interval(100_000), (0,))
+    assert windowed.nnz > 0
+    for arr in (windowed.data, windowed.rows, windowed.cols):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
 
@@ -258,10 +258,10 @@ def test_windowed_design_matches_dense_bit_for_bit():
     pts = grid_points(unit_interval(64))
     for a in range(5):
         design = _design(field, pts, (a,))
-        assert isinstance(design, sp.csr_array)
+        assert isinstance(design, Windowed)
         assert np.array_equal(design.toarray(), _per_function_design(field, pts, (a,)))
         assert np.all(design.data != 0.0)
-    assert list(np.diff(_design(field, pts, (0,)).indptr)[[4, 6]]) == [1, 0]
+    assert list(np.bincount(_design(field, pts, (0,)).rows)[[4, 6]]) == [1, 0]
     with pytest.raises(OrderUnsupportedError):
         _design(field, pts, (5,))
 
@@ -294,9 +294,38 @@ def bump_design_cases(draw):
 def test_windowed_design_at_any_points(case, a):
     field, pts = case
     design = _design(field, pts, (a,))
-    assert isinstance(design, sp.csr_array)
+    assert isinstance(design, Windowed)
     assert np.all(design.data != 0.0)
+    # entries sorted by row, then column
+    assert np.all(np.diff(design.rows * design.shape[1] + design.cols) > 0)
     assert np.array_equal(design.toarray(), _per_function_design(field, pts, (a,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bump_design_cases(), st.integers(0, 2**31))
+def test_windowed_operations_round_like_csr_array(case, seed):
+    """Every operation consumers use, against ``scipy.sparse.csr_array`` of the
+    same entries: bit for bit, signed zeros included.  Row sums are the
+    product with ones, as products sum them, not csr_array's ``sum(axis=1)``."""
+    field, pts = case
+    W, V = _design(field, pts, (0,)), _design(field, pts, (1,))
+    S, R = sp.csr_array(W.toarray()), sp.csr_array(V.toarray())
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(5, W.shape[0]))
+    v = rng.normal(size=W.shape[1])
+    col = rng.normal(size=(W.shape[0], 1))
+    for got, want in [
+            (coeffs @ W, coeffs @ S), (coeffs[0] @ W, coeffs[0] @ S),
+            (W @ v, S @ v), (W.T @ coeffs[0], S.T @ coeffs[0]),
+            ((W.T @ V).toarray(), (S.T @ R).toarray()), ((W @ V.T).toarray(), (S @ R.T).toarray()),
+            (W.sum(axis=0), S.sum(axis=0)), (W.sum(axis=1), S @ np.ones(S.shape[1])),
+            ((W * V).toarray(), (S * R).toarray()),
+            ((col * W * v).toarray(), (col * S * v).toarray()),
+            (W[:, 1::2].toarray(), S[:, 1::2].toarray()),
+            (W[:, v > 0].toarray(), S[:, v > 0].toarray()),
+            (abs(W).max(axis=0), abs(S).max(axis=0).toarray()),
+            ([W.max(), abs(W).max()], [S.max(), abs(S).max()])]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @st.composite
@@ -344,7 +373,7 @@ def test_grid_sups_from_peaks_equal_the_windowed_product(case, r, seed):
         product = coeffs @ sp.csr_array(_per_function_design(field, pts, (a,)))
         want = np.maximum(want, np.max(np.abs(product), axis=1))
     owners, peaks, (rest,) = _sup_split(field, b, r)
-    for arr in (owners, peaks, rest.data, rest.indices, rest.indptr):
+    for arr in (owners, peaks, rest.data, rest.rows, rest.cols):
         assert not arr.flags.writeable
     assert np.array_equal(batch_seminorms(field, coeffs, b, r), want)
     if case is _NESTED:
@@ -377,26 +406,25 @@ def test_windowed_design_is_refused_above_the_entry_budget(monkeypatch):
         _design(field, pts, (1,))
 
 
-@pytest.fixture
-def no_densification(monkeypatch):
-    """Make every scipy.sparse ``toarray`` and ``todense`` raise."""
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a sparse design was densified")
-
-    types = [t for t in vars(sp).values()
-             if isinstance(t, type) and t.__name__.endswith(("_array", "_matrix"))]
-    for owner in {c for t in types for c in t.__mro__}:
-        for name in ("toarray", "todense"):
-            if name in vars(owner):
-                monkeypatch.setattr(owner, name, refuse)
-    with pytest.raises(AssertionError):
-        sp.csr_array(np.eye(2)).todense()
-
-
 def _native_and_dense(field, fn):
-    """``fn(field)`` on the windowed design, then on the per-function dense one."""
-    assert isinstance(_design(field, np.zeros((1, 1)), (0,)), sp.csr_array)
-    native = fn(field)
+    """``fn(field)`` on the windowed design, then on the per-function dense one.
+
+    On the windowed design, densifying a matrix with one row per term (a
+    design, not a Gram matrix of designs) raises.
+    """
+    assert isinstance(_design(field, np.zeros((1, 1)), (0,)), Windowed)
+    toarray = Windowed.toarray
+
+    def refuse_designs(self):
+        if self.shape[0] == field.size:
+            raise AssertionError("a windowed design was densified")
+        return toarray(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Windowed, "toarray", refuse_designs)
+        with pytest.raises(AssertionError):
+            _design(field, np.zeros((1, 1)), (0,)).toarray()
+        native = fn(field)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grflab.field, "_windowed", lambda f: False)
         assert isinstance(_design(field, np.zeros((1, 1)), (0,)), np.ndarray)
@@ -424,7 +452,7 @@ def _windowed_consumers(field):
     }
 
 
-def test_consumers_read_the_windowed_design_without_densifying(no_densification):
+def test_consumers_read_the_windowed_design_without_densifying():
     """Bit for bit against the dense per-function design on disjoint bumps,
     to 1e-12 relative on overlapping and scaled ones; kernel pairs are
     exactly symmetric in either form."""
@@ -462,7 +490,7 @@ def test_counterexample_path_is_windowed_on_the_integration_grid():
     grid = (-0.1 + np.arange(4507) / 4096).reshape(-1, 1)
     assert grid.shape == (4507, 1)
     design = _design(field, grid, (0,))
-    assert isinstance(design, sp.csr_array) and design.nnz <= 4507
+    assert isinstance(design, Windowed) and design.nnz <= 4507
     path = SamplePath(field, sample_batch_coeffs(field, 5, [0])[0])
     # the supports are disjoint, so the sum has one non-zero term per point
     # and its value does not depend on the order of summation
@@ -478,8 +506,8 @@ def test_counterexample_path_is_windowed_on_the_integration_grid():
 def test_counterexample_design_is_windowed():
     cfg = cx.config(100)
     design = box_design(cx.build_X_n(cfg), cx.grid_box(cfg), (0,))
-    assert sp.issparse(design) and design.nnz == 10_000
-    for arr in (design.data, design.indices, design.indptr):
+    assert isinstance(design, Windowed) and design.nnz == 10_000
+    for arr in (design.data, design.rows, design.cols):
         assert not arr.flags.writeable
 
 
@@ -493,8 +521,8 @@ def test_small_bump_fields_are_windowed(n):
     ref = np.zeros(64)
     for a in [(0,), (1,)]:
         design = box_design(field, b, a)
-        assert isinstance(design, sp.csr_array)
-        for arr in (design.data, design.indices, design.indptr):
+        assert isinstance(design, Windowed)
+        for arr in (design.data, design.rows, design.cols):
             assert not arr.flags.writeable
         dense = _per_function_design(field, grid_points(b), a)
         assert np.array_equal(design.toarray(), dense)
@@ -519,9 +547,10 @@ def _importers(module: str) -> set:
     return importers
 
 
-def test_only_the_design_builder_imports_scipy_sparse():
-    # whether a design is sparse is decided, and known, in field.py alone
-    assert _importers("scipy.sparse") == {"field.py"}
+def test_no_module_imports_scipy():
+    # every command starts without scipy: numpy normals, pure-Python
+    # Clopper-Pearson bounds, numpy windowed designs
+    assert _importers("scipy") == set()
     # bump partials evaluate integer profile polynomials by Horner's rule
     assert _importers("numpy.polynomial") == set()
 
@@ -593,13 +622,14 @@ def test_multi_order_design_equals_one_term_designs(case, r):
     alphas = multi_indices(field.m, r)
     blocks = _column_blocks(_design(field, pts, *alphas), len(alphas))
     for a, block in zip(alphas, blocks):
-        windowed = sp.issparse(block)
+        windowed = isinstance(block, Windowed)
         block = block.toarray() if windowed else block
         for row, f in zip(block, field.basis):
             one = _design(kl_field([f]), pts, a)
             want = _one_term_partial(f, pts, a).ravel()
-            if windowed or sp.issparse(one):
-                assert np.array_equal(row, one.toarray()[0] if sp.issparse(one) else one[0])
+            if windowed or isinstance(one, Windowed):
+                one = one.toarray() if isinstance(one, Windowed) else one
+                assert np.array_equal(row, one[0])
                 assert np.array_equal(row, want)
             else:
                 assert row.tobytes() == one[0].tobytes() == want.tobytes()
@@ -607,16 +637,15 @@ def test_multi_order_design_equals_one_term_designs(case, r):
 
 
 def test_zero_counts_of_a_windowed_product_scan_its_rows():
-    """``coeffs @ csr_array`` is F-ordered; the zero-count scan copies its signs
-    row-major and counts what a C-ordered copy and a direct count give."""
+    """A windowed product is C-ordered like a dense one; the zero-count scan
+    counts what a direct count gives."""
     cfg = cx.config(10)
     field, b = cx.build_X_n(cfg), cx.grid_box(cfg)
     design = box_design(field, b, (0,))
     coeffs = sample_batch_coeffs(field, 3, np.arange(48))
     vals = apply_design(coeffs, design)
-    assert vals.flags.f_contiguous and not vals.flags.c_contiguous
+    assert vals.flags.c_contiguous
     assert vals.tobytes() == (coeffs @ design).tobytes()
     counts = _zero_count_rows(vals)
-    assert np.array_equal(counts, _zero_count_rows(np.ascontiguousarray(vals)))
     assert np.array_equal(counts, [np.count_nonzero(v == 0.0) + np.count_nonzero(
         np.sign(v[:-1]) * np.sign(v[1:]) < 0) for v in vals])

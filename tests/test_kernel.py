@@ -13,7 +13,7 @@ from grflab import (Bump, ClosedFormKernel, Harmonic, KernelSeminormSpec,
                     kernel_seminorm, kl_field, unit_interval)
 from grflab import counterexample as cx
 from grflab.basis import grid_points
-from grflab.field import _blocks, box_design
+from grflab.field import Windowed, _blocks, box_design
 from grflab.kernel import eval_kernel_deriv_pairs
 from grflab.multiindex import multi_indices
 
@@ -396,9 +396,10 @@ def _brute_pair_max(K, b, r, minus=None):
 
 
 def _scaled(K, b, a):
+    """The design scaled by the sigmas; a windowed one as a csr_array, for a reference."""
     d = box_design(K.field, b, a)
-    if sp.issparse(d):
-        return sp.diags(K.field.sigma_array) @ d
+    if isinstance(d, Windowed):
+        return sp.diags(K.field.sigma_array) @ sp.csr_array(d.toarray())
     return K.field.sigma_array[:, None] * d
 
 
@@ -512,8 +513,8 @@ def test_distance_tiles_match_the_pair_max(monkeypatch, case):
 
 
 def test_windowed_sparse_seminorm_and_distance(monkeypatch):
-    """Overlapping bumps on a 20001-point grid: the designs are windowed-sparse,
-    and the references take sparse Gram products.  A windowed stack is cut
+    """Overlapping bumps on a 20001-point grid: the designs are windowed, and
+    the references take csr_array Gram products.  A windowed stack is cut
     into whole blocks, not into dense pair tiles."""
     rng = np.random.default_rng(7)
     b = box(0.0, 1.0, 20000)
@@ -524,8 +525,8 @@ def test_windowed_sparse_seminorm_and_distance(monkeypatch):
         return kernel_of(kl_field(basis, rng.uniform(0.3, 1.5, n)))
 
     K1, K2 = bumps(210), bumps(230)
-    assert sp.issparse(box_design(K1.field, b, (0,)))
-    assert sp.issparse(box_design(K2.field, b, (0,)))
+    assert isinstance(box_design(K1.field, b, (0,)), Windowed)
+    assert isinstance(box_design(K2.field, b, (0,)), Windowed)
     calls = _spy_blocks(monkeypatch)
     for r in (0, 2):
         spec = KernelSeminormSpec(b, r)

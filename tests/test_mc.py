@@ -112,6 +112,18 @@ def test_clopper_pearson_interval_at_the_edges():
     assert abs(mid.ci95[1] - mid.ci95[0] - 2 * 1.96 * mid.stderr) < 1e-4
 
 
+@pytest.mark.parametrize("n", [100, 101, 2000, 20000, 10**6])
+def test_clopper_pearson_bounds_match_betaincinv(n):
+    """The pure-Python beta quantile against ``scipy.special.betaincinv``."""
+    from scipy.special import betaincinv
+
+    for k in sorted({0, 1, 2, 9, 10, 11, n // 3, n // 2, n - 11, n - 2, n - 1, n}):
+        lo, hi = _indicator_estimate(k, n, 0).ci95
+        want_lo = 0.0 if k == 0 else betaincinv(k, n - k + 1, 0.025)
+        want_hi = 1.0 if k == n else betaincinv(k + 1, n - k, 0.975)
+        assert abs(lo - want_lo) <= 1e-10 * want_lo and abs(hi - want_hi) <= 1e-10 * want_hi
+
+
 def test_positive_on_box():
     f = kl_field([ONE])
     est = estimate_probability(f, PositiveOnBox(BOX), 20000, 1)
@@ -264,3 +276,21 @@ def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
     # one chunk runs in the caller and opens no pool
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
     assert len(_map_chunks(len, MIXED, b, 10, 2)) == 1
+
+
+@pytest.mark.parametrize("overflow_chunk", [0, 3])
+def test_chunks_run_under_the_callers_error_state(monkeypatch, overflow_chunk):
+    # threads start with numpy's default error state: each chunk gets the caller's
+    b = unit_interval(20)
+    monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 10 * (21 + MIXED.size))
+    starts = sample_batch_coeffs(MIXED, 2, np.arange(0, 95, 10))[:, 0]
+
+    def fn(coeffs):
+        hit = coeffs[0, 0] == starts[overflow_chunk]
+        return np.array([1e300]) * (1e300 if hit else 1.0)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _map_chunks(fn, MIXED, b, 95, 2)
+    with np.errstate(over="ignore"):
+        assert np.isinf(_map_chunks(fn, MIXED, b, 95, 2)[overflow_chunk]).all()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,12 +82,37 @@ def test_scalar_and_array_quantiles_are_bit_equal():
     assert np.array_equal(scalar, normal_quantile(u))
 
 
+def _ulps(got, want) -> float:
+    """Largest distance in units in the last place of ``want``."""
+    return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
+
+
 def test_normals_are_ndtri_of_the_uniforms():
+    """The numpy port of Cephes ndtri against ``scipy.special.ndtri``: numpy's
+    log differs from libm's on a few inputs, so a few stream draws in 10^5
+    move by a few ulp; the rest are bit-identical."""
     idx = np.arange(3, 40)
-    assert np.array_equal(normal_matrix(77, idx, 129, offset=5),
-                          ndtri(uniform_matrix(77, idx, 129, offset=5)))
+    z = normal_matrix(77, idx, 4000, offset=5)
+    want = ndtri(uniform_matrix(77, idx, 4000, offset=5))
+    assert _ulps(z, want) <= 8
+    assert np.count_nonzero(z != want) <= 1e-3 * z.size
     s = RandomStream(77, 9, counter=5)
-    assert np.array_equal(s.normals(64), ndtri(RandomStream(77, 9, counter=5).uniforms(64)))
+    assert _ulps(s.normals(64), ndtri(RandomStream(77, 9, counter=5).uniforms(64))) <= 8
+    # deep tails down to the smallest subnormal, and the branch edges at
+    # exp(-2), 1 - exp(-2) and exp(-32)
+    edges = [e for x in (0.13533528323661269189, 1.0 - 0.13533528323661269189, math.exp(-32))
+             for e in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))]
+    u = np.concatenate([np.geomspace(5e-324, 0.5, 20001), 1.0 - np.geomspace(2.0 ** -53, 0.5, 20001),
+                        [5e-324, 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53, *edges]])
+    assert _ulps(normal_quantile(u), ndtri(u)) <= 8
+
+
+def test_a_rows_normals_keep_their_bits_inside_a_larger_matrix():
+    # normals are evaluated in tiles of 2**17 draws, which cut rows anywhere: row 43 here
+    big = normal_matrix(5, np.arange(50), 3001)
+    for i in (0, 10, 43, 49):
+        assert big[i].tobytes() == normal_matrix(5, [i], 3001)[0].tobytes()
+        assert big[i, 7:19].tobytes() == RandomStream(5, i, counter=7).normals(12).tobytes()
 
 
 def test_quantile_cdf_round_trip():
@@ -135,5 +162,4 @@ def test_streams_match_a_python_int_reference(seed, indices, offset):
     want = np.array([[_uniform_reference(seed, i, offset + j) for j in range(n)]
                      for i in indices])
     assert np.array_equal(uniform_matrix(seed, indices, n, offset), want)
-    assert np.array_equal(normal_matrix(seed, indices, n, offset),
-                          [[ndtri(u) for u in row] for row in want])
+    assert _ulps(normal_matrix(seed, indices, n, offset), ndtri(want)) <= 8
