@@ -71,6 +71,8 @@ class Box:
             raise ValueError("box needs lower < upper on every axis")
         if any(r < 1 for r in self.resolution):
             raise ValueError("grid resolution must be >= 1 per axis")
+        for end in ("lower", "upper"):  # -0.0 ends are 0.0: equal boxes have equal grids
+            object.__setattr__(self, end, tuple(x + 0.0 for x in getattr(self, end)))
 
     @property
     def m(self) -> int:

@@ -326,7 +326,7 @@ def _cmd_gauss_ratio(args):
 def _cmd_limit_study(args):
     doc = _load_json_arg(args.config)
     validate_document("limit_study", doc)
-    fields = [field_from_dict(f, validated=True) for f in doc["fields"]]
+    fields = (field_from_dict(f, validated=True) for f in doc["fields"])  # one alive at a time
     limit_field = field_from_dict(doc["limit_field"], validated=True)
     event = event_from_dict(doc["event"], validated=True)
     b = box_from_dict(doc["box"], validated=True)

@@ -19,7 +19,7 @@ derivative order in one pass, stacked by column, :class:`Windowed` for bumps on 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .rng import RandomStream, normal_matrix
 # point, pair and sample loops are cut by ``_blocks`` to stay within it
 _BLOCK_ENTRIES = 4_000_000
 _TILE_ENTRIES = 40_000  # one dense kernel-distance pair tile, 320 kB: it stays in L2
+_lookups = [0, 0]  # hits and misses of box_design, read by box_design.cache_info()
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,7 @@ class KLField:
         for f in self.basis:
             if (f.m, f.k) != (self.m, self.k):
                 raise ValueError("all basis functions must share (m, k)")
-        # cache keys hash the field on every lookup; hash the terms only once
-        object.__setattr__(self, "_hash", hash((self.basis, self.sigmas, self.m, self.k)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "_store", {})  # designs by (box, alphas), splits by (box, r)
 
     @property
     def size(self) -> int:
@@ -305,20 +302,24 @@ def _dense(x) -> np.ndarray:
     return x.toarray() if isinstance(x, Windowed) else x
 
 
-@lru_cache(maxsize=64)
 def box_design(field: KLField, b: Box, *alphas):
     """:func:`_design` of the multi-indices ``alphas`` on the grid of ``b``.
 
-    Sparse for bump fields, dense otherwise.  The result is cached and
-    shared, so its arrays are read-only.
+    Sparse for bump fields, dense otherwise.  Kept in the field's store and
+    handed to every caller, so its arrays are read-only.
     """
-    design = _design(field, grid_points(b), *alphas)
-    if isinstance(design, np.ndarray):  # a windowed design is read-only as built
-        design.setflags(write=False)
+    design = field._store.get((b, alphas))
+    _lookups[design is None] += 1
+    if design is None:
+        design = field._store[b, alphas] = _design(field, grid_points(b), *alphas)
+        if isinstance(design, np.ndarray):  # a windowed design is read-only as built
+            design.setflags(write=False)
     return design
 
 
-@lru_cache(maxsize=64)
+box_design.cache_info = lambda: tuple(_lookups)
+
+
 def _sup_split(field: KLField, b: Box, r: int):
     """``(owners, peaks, rests)`` of the :func:`box_design` of orders <= r, for grid sups.
 
@@ -331,8 +332,10 @@ def _sup_split(field: KLField, b: Box, r: int):
     in its own order: a windowed product sums each column alone, so all
     orders make one rest; a dense one is all rest, one design per order, as
     BLAS may round a product by its shape.  Columns without entries hold 0.
-    Cached and shared, so the arrays are read-only.
+    Kept in the field's store beside the design, so the arrays are read-only.
     """
+    if (b, r) in field._store:
+        return field._store[b, r]
     alphas = multi_indices(field.m, r)
     design = box_design(field, b, *alphas)
     if isinstance(design, Windowed):
@@ -347,7 +350,7 @@ def _sup_split(field: KLField, b: Box, r: int):
         rests = tuple(_column_blocks(design, len(alphas)))  # views of the read-only design
     owners.setflags(write=False)
     peaks.setflags(write=False)
-    return owners, peaks, rests
+    return field._store.setdefault((b, r), (owners, peaks, rests))
 
 
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:

@@ -209,7 +209,7 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
     A basis function appears once, with weight w = sum of c*sigma^2 over the
     fields that hold it and row scale sqrt|w| (sigma for a term one field
     holds), a closed-form kernel once, with the sum of its c; zero weights
-    drop out.  A lone field is read as it is, from its cached designs.  Mixed
+    drop out.  A lone field is read as it is, from the designs it keeps.  Mixed
     signs scan ``(sqrt|w| f)^T (sign(w) sqrt|w| f)`` in dense row tiles of
     ``_TILE_ENTRIES`` (upper triangle if alpha = beta) or whole windowed
     blocks, so last bits depend on the tile size, never on run or cores.

@@ -14,7 +14,7 @@ import concurrent.futures
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def _map_chunks(fn, field: KLField, b: Box, n_samples: int, seed: int) -> list:
 
     A chunk is always a quarter block of coefficients and grid values, so
     results do not depend on the core count.  The caller runs the first
-    chunk, which fills the design caches; the rest run on at most
+    chunk, which fills the field's design store; the rest run on at most
     ``min(usable cores, 4)`` threads, so the chunks in flight hold at most
     one block.  A run of one chunk opens no pool.  Every chunk runs under the
     caller's floating-point error state, which threads do not inherit.
@@ -306,7 +306,7 @@ class LimitStudyRow:
     is_limit: bool
 
 
-def limit_study(fields: Sequence[KLField], limit_field: KLField, event: EventSpec,
+def limit_study(fields: Iterable[KLField], limit_field: KLField, event: EventSpec,
                 b: Box, r: int, n_samples: int = 20000, seed: int = 0,
                 distance_order: int | None = None) -> list[LimitStudyRow]:
     """Kernel distance to the limit versus event probability, per field.
@@ -325,10 +325,11 @@ def limit_study(fields: Sequence[KLField], limit_field: KLField, event: EventSpe
     spec = KernelSeminormSpec(b, order)
     k_limit = kernel_of(limit_field)
     rows = []
-    for i, f in enumerate(fields):
+    for f in fields:
         dist = kernel_distance(kernel_of(f), k_limit, spec)
-        rows.append(LimitStudyRow(f"field_{i}", dist,
+        rows.append(LimitStudyRow(f"field_{len(rows)}", dist,
                                   estimate_probability(f, event, n_samples, seed), False))
+        del f  # no name or enumerate tuple holds a field, and its designs, past its row
     rows.append(LimitStudyRow("limit", 0.0,
                               estimate_probability(limit_field, event, n_samples, seed), True))
     return rows

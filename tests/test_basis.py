@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grflab import (BUMP_MAX_DERIV_ORDER, Bump, Harmonic, IntegratedBump, Monomial,
+from grflab import (BUMP_MAX_DERIV_ORDER, Box, Bump, Harmonic, IntegratedBump, Monomial,
                     OrderUnsupportedError, Scaled, box, fd_check, grid_points,
                     unit_interval)
 from grflab.basis import _partial_moments, _profile_poly
@@ -249,6 +249,20 @@ def test_box_and_grid():
         box(1.0, 0.0)
     assert unit_interval().resolution == (256,)
     assert box([0, 0], [1, 1]).resolution == (64, 64)
+
+
+def test_box_ends_equal_but_for_a_signed_zero_give_one_grid():
+    """Box((-1.0,), (0.0,)) == Box((-1.0,), (-0.0,)), so the grid_points cache
+    takes one for the other: a -0.0 end is stored as 0.0, whichever comes first."""
+    for res, ends in ((2, (0.0, -0.0)), (4, (-0.0, 0.0))):
+        want = np.linspace(-1.0, 0.0, res + 1)[:, None].tobytes()
+        for end in ends:
+            b = Box((-1.0,), (end,), (res,))
+            assert not np.signbit(b.upper[0]) and grid_points(b).tobytes() == want
+        for end in ends:
+            b = Box((end,), (1.0,), (res,))
+            assert not np.signbit(b.lower[0]) and not np.signbit(grid_points(b)[0, 0])
+    assert hash(Box((-1.0,), (0.0,), (2,))) == hash(Box((-1.0,), (-0.0,), (2,)))
 
 
 def test_eval_shapes():

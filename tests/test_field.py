@@ -1,5 +1,7 @@
 import ast
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -205,11 +207,12 @@ def test_cached_arrays_are_read_only():
     pts = grid_points(b)
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
-    dense = box_design(kl_field([ONE, T]), b, (0,))
+    field = kl_field([ONE, T])
+    dense = box_design(field, b, (0,))
     with pytest.raises(ValueError):
         dense[0, 0] = 1.0
     # a dense design's split for grid sups is all rest: the design itself
-    owners, peaks, rests = _sup_split(kl_field([ONE, T]), b, 0)
+    owners, peaks, rests = _sup_split(field, b, 0)
     assert owners.size == peaks.size == 0 and rests == (dense,) and rests[0] is dense
     assert not (owners.flags.writeable or peaks.flags.writeable)
     # a bump field's design is windowed at every grid size
@@ -221,7 +224,7 @@ def test_cached_arrays_are_read_only():
             arr[0] = arr[0]
 
 
-def test_equal_fields_share_design_cache_entries():
+def test_a_field_builds_each_box_design_once():
     def build():
         return kl_field([Bump((0.1 * i + 0.05,), 0.04, (1.0,)) for i in range(10)],
                         [0.5 + 0.1 * i for i in range(10)])
@@ -231,9 +234,74 @@ def test_equal_fields_share_design_cache_entries():
     assert f != kl_field(f.basis, [1.0] * 10)
     b = unit_interval(64)
     first = box_design(f, b, (1,))
-    hits = box_design.cache_info().hits
-    assert box_design(g, b, (1,)) is first
-    assert box_design.cache_info().hits == hits + 1
+    hits, misses = box_design.cache_info()[:2]
+    assert box_design(f, b, (1,)) is first
+    assert box_design.cache_info()[:2] == (hits + 1, misses)
+    # an equal field keeps its own design: the same bits, not the same arrays
+    own = box_design(g, b, (1,))
+    assert own is not first and own.data.tobytes() == first.data.tobytes()
+    assert box_design.cache_info()[:2] == (hits + 1, misses + 1)
+
+
+def test_box_design_counts_one_hit_or_one_miss_per_call(monkeypatch):
+    """The ``(hits, misses)`` of ``box_design.cache_info()`` move by exactly one
+    per call; a grid-sup split reaches it once when built and not when kept."""
+    dense = kl_field([ONE, T])
+    bumps = kl_field([Bump((0.1 * i + 0.05,), 0.04, (1.0,)) for i in range(10)])
+    b = unit_interval(32)
+
+    def moved(call):
+        before = box_design.cache_info()[:2]
+        call()
+        after = box_design.cache_info()[:2]
+        return after[0] - before[0], after[1] - before[1]
+
+    for field in (dense, bumps):
+        assert moved(lambda: box_design(field, b, (1,))) == (0, 1)
+        assert moved(lambda: box_design(field, b, (1,))) == (1, 0)
+        assert moved(lambda: box_design(field, b, (0,), (1,))) == (0, 1)
+        assert moved(lambda: _sup_split(field, b, 1)) == (1, 0)
+        assert moved(lambda: _sup_split(field, b, 1)) == (0, 0)
+        assert moved(lambda: _sup_split(field, b, 0)) == (0, 1)
+        hits, misses = box_design.cache_info()[:2]
+        with monkeypatch.context() as patch, pytest.raises(MemoryError):
+            patch.setattr(grflab.field, "_BLOCK_ENTRIES", 10)
+            box_design(field, unit_interval(16), (0,))
+        # a refused build is one miss and keeps nothing
+        assert box_design.cache_info()[:2] == (hits, misses + 1)
+        assert moved(lambda: box_design(field, unit_interval(16), (0,))) == (0, 1)
+        assert moved(lambda: batch_seminorms(field, np.ones((2, field.size)), b, 1)) == (0, 0)
+
+
+def test_fields_equal_but_for_a_signed_zero_keep_their_own_designs():
+    """Scaled(f, 0.0) == Scaled(f, -0.0), and so are their fields, yet each field's
+    box design and grid-sup split hold its own bits, whichever is built first."""
+    f = Harmonic((2.0,), 0.3, (1.0,))
+    b = unit_interval(8)
+    zeros = (0.0, -0.0)
+    want = [_design(kl_field([Scaled(f, z)]), grid_points(b), (1,)).tobytes() for z in zeros]
+    assert want[0] != want[1]
+    for order in ((0, 1), (1, 0)):
+        fields = {i: kl_field([Scaled(f, zeros[i])]) for i in order}
+        assert fields[0] == fields[1] and hash(fields[0]) == hash(fields[1])
+        for i in order:
+            assert box_design(fields[i], b, (1,)).tobytes() == want[i]
+        fields = {i: kl_field([Scaled(f, zeros[i])]) for i in order}
+        for i in order:  # the split builds its own design of orders 0 and 1
+            assert _sup_split(fields[i], b, 1)[2][1].tobytes() == want[i]
+
+
+def test_box_designs_are_freed_with_their_field():
+    b = unit_interval(64)
+    dense = kl_field([ONE, T])
+    bumps = kl_field([Bump((0.1 * i + 0.05,), 0.04, (1.0,)) for i in range(10)])
+    kept = [box_design(dense, b, (0,)), box_design(bumps, b, (0,), (1,)),
+            *_sup_split(dense, b, 1), _sup_split(bumps, b, 1)[2][0]]
+    assert isinstance(kept[1], Windowed) and isinstance(kept[-1], Windowed)
+    refs = [weakref.ref(x) for x in kept if not isinstance(x, tuple)]
+    del kept, dense, bumps
+    gc.collect()
+    assert len(refs) == 5 and all(ref() is None for ref in refs)
 
 
 def _per_function_design(field, pts, a):

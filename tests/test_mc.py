@@ -1,7 +1,9 @@
 import concurrent.futures
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +205,29 @@ def test_limit_study_perturbation_family():
     assert rows[-1].kernel_distance == 0.0 and rows[-1].is_limit
     want = 2.0 * normal_cdf(1.0) - 1.0
     assert abs(rows[-1].estimate.p_hat - want) <= 4.0 * rows[-1].estimate.stderr
+
+
+def test_limit_study_holds_one_field_at_a_time():
+    """A generator of fields gives the rows of a list, and each field, with the
+    designs it keeps, is freed before the next one is built."""
+    scales = (1, 4, 16)
+    limit, event = kl_field([ONE]), SupNormBelow(BOX, 0, 1.0)
+    want = limit_study([kl_field([ONE, Scaled(T, 1.0 / d)]) for d in scales], limit, event,
+                       BOX, 0, n_samples=500, seed=3)
+    refs = []
+
+    def fields():
+        for d in scales:
+            gc.collect()
+            assert all(ref() is None for ref in refs), "an earlier field is still held"
+            f = kl_field([ONE, Scaled(T, 1.0 / d)])
+            refs.append(weakref.ref(f))
+            yield f
+            assert f._store, "the study kept no design on the field"
+            del f
+
+    assert limit_study(fields(), limit, event, BOX, 0, n_samples=500, seed=3) == want
+    assert len(refs) == len(scales)
 
 
 def test_limit_study_constant_sequence():
