@@ -34,6 +34,7 @@ from .rng import RandomStream, normal_matrix
 _BLOCK_ENTRIES = 4_000_000
 _TILE_ENTRIES = 40_000  # one dense kernel-distance pair tile, 320 kB: it stays in L2
 _lookups = [0, 0]  # hits and misses of box_design, read by box_design.cache_info()
+_FIRST_TERMS = 16  # terms in the first coefficient block of sups_below; each later one doubles
 
 
 @dataclass(frozen=True)
@@ -380,6 +381,34 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
             # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
             np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
     return best
+
+
+def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float) -> np.ndarray:
+    """``batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold``.
+
+    When every term owns a column and no column is shared, the grid sup is
+    the largest ``|c_n|*peak_n``, so coefficients are drawn in blocks of
+    ``_FIRST_TERMS`` terms, then twice as many each time, and a sample stops
+    at the first block whose largest ``|c_n|*peak_n`` is not below the
+    threshold (nan included).  The counterexample ``X_n``, whose terms each
+    fail ``sup < 1`` with probability 1/n, so draws about 1.5 n of its n^2.
+    """
+    owners, peaks, rests = _sup_split(field, b, r)
+    if owners.size < field.size or any(rest.shape[1] for rest in rests):
+        return batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold
+    indices, sigmas = np.asarray(indices), field.sigma_array
+    below = np.ones(indices.shape[0], dtype=bool)
+    start, width = 0, _FIRST_TERMS
+    while start < field.size and below.any():
+        alive, stop = np.flatnonzero(below), min(start + width, field.size)
+        vals = normal_matrix(seed, indices[alive], stop - start, offset=start)
+        vals *= sigmas[start:stop]  # as in sample_batch_coeffs, then batch_seminorms
+        np.abs(vals, out=vals)
+        with np.errstate(over="ignore"):
+            vals *= peaks[start:stop]
+        below[alive] = np.max(vals, axis=1) < threshold
+        start, width = stop, 2 * width
+    return below
 
 
 def sample_seminorm(path: SamplePath, b: Box, r: int) -> float:

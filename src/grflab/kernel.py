@@ -135,9 +135,8 @@ def eval_kernel_deriv_pairs(K: CovarianceKernel, X: np.ndarray, Y: np.ndarray,
     return _pair_values(K.field, X, Y, a, b)
 
 
-def _pair_values(field: KLField, X, Y, a, b, gap: bool = False) -> np.ndarray:
-    """(n, k, k) d_a d_b K at the pairs (X[i], Y[i]), or with ``gap`` K(X, Y) - K(Y, X)^T
-    from the same designs at X and at Y (a = b)."""
+def _pair_values(field: KLField, X, Y, a, b) -> np.ndarray:
+    """(n, k, k) d_a d_b K at the pairs (X[i], Y[i])."""
     k, w = field.k, field.sigma_array ** 2
     out = np.empty((X.shape[0], k, k))
     for rows in _blocks(X.shape[0], field.size * k * k):
@@ -146,8 +145,6 @@ def _pair_values(field: KLField, X, Y, a, b, gap: bool = False) -> np.ndarray:
             # per-term products first: commutativity then makes the
             # symmetry K(p,q) = K(q,p)^T exact, not just up to rounding
             out[rows, j, l] = w @ (fp[:, j::k] * fq[:, l::k])
-            if gap:
-                out[rows, j, l] -= w @ (fq[:, l::k] * fp[:, j::k])
     return out
 
 
@@ -321,8 +318,11 @@ def check_symmetry(K, point_pairs, tol: float = 1e-12) -> SymmetryReport:
             raise ValueError(f"need (n, 2, {K.m}) point pairs, got shape {pairs.shape}")
         P, Q = np.ascontiguousarray(pairs.reshape(-1, 2, K.m).transpose(1, 0, 2))
         zero = (0,) * K.m
-        if isinstance(K, KLKernel):  # the designs at P and at Q serve both orders of a pair
-            gaps = [_pair_values(K.field, P, Q, zero, zero, gap=True)]
+        if isinstance(K, KLKernel):
+            # per-term products commute, so K(q, p)^T is K(p, q) bit for bit: the
+            # gap is 0.0 where K is finite and nan where it is not, as with two sums
+            v = _pair_values(K.field, P, Q, zero, zero)
+            gaps = [v - v]
         else:
             gaps = [eval_kernel_deriv_pairs(K, P, Q, zero, zero)
                     - eval_kernel_deriv_pairs(K, Q, P, zero, zero).transpose(0, 2, 1)]

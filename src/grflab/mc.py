@@ -3,8 +3,10 @@
 Events are deterministic predicates of a sample path restricted to a box
 grid.  Estimation derives one random stream per sample index, so estimates
 are reproducible bit-for-bit from ``(seed, n_samples, event)``, and chunks
-of indices run on several threads without changing the result.
-Indicator counts are integer sums (exact, order independent); real-valued
+of indices run on several threads without changing the result.  Each chunk
+draws what its event reads: a sup-norm event on disjoint bumps stops
+drawing a sample's coefficients once it has failed (see
+:func:`~grflab.field.sups_below`).  Indicator counts are integer sums (exact, order independent); real-valued
 statistics are reduced with exact compensated summation.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .basis import Box
 from .field import (KLField, _blocks, apply_design, batch_seminorms, box_design,
-                    sample_batch_coeffs)
+                    sample_batch_coeffs, sups_below)
 from .kernel import KernelSeminormSpec, kernel_distance, kernel_of, kernel_seminorm
 
 
@@ -102,10 +104,11 @@ def _row_counts(hits: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.packbits(hits, axis=1)).sum(axis=1, dtype=np.intp)
 
 
-def _indicator_batch(event: EventSpec, field: KLField, coeffs: np.ndarray) -> np.ndarray:
+def _indicator_batch(event: EventSpec, field: KLField, seed: int,
+                     indices: np.ndarray) -> np.ndarray:
     if isinstance(event, SupNormBelow):
-        sups = batch_seminorms(field, coeffs, event.box, event.order)
-        return sups < event.threshold
+        return sups_below(field, seed, indices, event.box, event.order, event.threshold)
+    coeffs = sample_batch_coeffs(field, seed, indices)
     if isinstance(event, ZeroCountEquals):
         vals = apply_design(coeffs, box_design(field, event.box, (0,)))
         return _zero_count_rows(vals) == event.count
@@ -220,20 +223,21 @@ def _usable_cores() -> int:
 
 
 def _map_chunks(fn, field: KLField, b: Box, n_samples: int, seed: int) -> list:
-    """``fn`` of the coefficient rows of each chunk of samples 0 .. n_samples-1, in order.
+    """``fn`` of the sample indices of each chunk of 0 .. n_samples-1, in order.
 
-    A chunk is always a quarter block of coefficients and grid values, so
-    results do not depend on the core count.  The caller runs the first
-    chunk, which fills the field's design store; the rest run on at most
-    ``min(usable cores, 4)`` threads, so the chunks in flight hold at most
-    one block.  A run of one chunk opens no pool.  Every chunk runs under the
-    caller's floating-point error state, which threads do not inherit.
+    ``fn`` draws what it reads of each sample's stream.  A chunk is always a
+    quarter block of coefficients and grid values, so results do not depend
+    on the core count.  The caller runs the first chunk, which fills the
+    field's design store; the rest run on at most ``min(usable cores, 4)``
+    threads, so the chunks in flight hold at most one block.  A run of one
+    chunk opens no pool.  Every chunk runs under the caller's floating-point
+    error state, which threads do not inherit.
     """
     chunks = list(_blocks(n_samples, 4 * (b.n_grid_points * field.k + field.size)))
 
     def run(rows: slice, errors=np.geterr()):
         with np.errstate(**errors):
-            return fn(sample_batch_coeffs(field, seed, np.arange(rows.start, rows.stop)))
+            return fn(np.arange(rows.start, rows.stop))
 
     first = run(chunks[0])
     if len(chunks) == 1:
@@ -256,7 +260,7 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
         raise ValueError("need n_samples >= 100")
     _check_event(event, field)
     count = sum(_map_chunks(
-        lambda coeffs: int(np.count_nonzero(_indicator_batch(event, field, coeffs))),
+        lambda indices: int(np.count_nonzero(_indicator_batch(event, field, seed, indices))),
         field, event.box, n_samples, seed))
     return _indicator_estimate(count, n_samples, seed)
 
@@ -266,8 +270,9 @@ def empirical_sup_mean(field: KLField, b: Box, r: int, n_samples: int = 20000,
     """Monte Carlo mean of the order-r grid sup-norm of sample paths."""
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    sups = _map_chunks(lambda coeffs: batch_seminorms(field, coeffs, b, r),
-                       field, b, n_samples, seed)
+    sups = _map_chunks(
+        lambda indices: batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r),
+        field, b, n_samples, seed)
     return _mean_estimate(np.concatenate(sups), seed)
 
 

@@ -14,14 +14,16 @@ the xorshift-multiply finalizer with constants ``0xBF58476D1CE4E5B9`` and
 
     u = ((word >> 11) + 0.5) * 2**-53        # in (0, 1), both ends excluded
 
-Normals are the inverse normal CDF of these uniforms, with no Acklam
-initializer or Newton step on top, and never come from rejection or polar
-methods, so the n-th normal of a stream is a fixed function of (seed, index,
-n) and the draw count per sample never varies.  The inverse is a numpy port
-of the Cephes ``ndtri`` that ``scipy.special.ndtri`` implements, with the
-same rational approximations and operation order; its logs are numpy's, so
-about 0.006 % of stream draws differ from scipy's by a few ulp.  Scalars and
-arrays take the same path, so they agree bit for bit.
+except that the top word, whose ``1 - 2**-54`` rounds to 1.0, gives the
+largest double below 1.  Normals are the inverse normal CDF of these
+uniforms, with no Acklam initializer or Newton step on top, and never come
+from rejection or polar methods, so the n-th normal of a stream is a fixed
+function of (seed, index, n), and a sample that reads only a prefix of its
+stream reads the same draws as one that reads it all.  The inverse is a
+numpy port of the Cephes ``ndtri`` that ``scipy.special.ndtri``
+implements, with the same rational approximations and operation order; its
+logs are numpy's, so about 0.006 % of stream draws differ from scipy's by a
+few ulp.  Scalars and arrays take the same path, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def uniform_matrix(seed: int, indices, n: int, offset: int = 0) -> np.ndarray:
     u = words.astype(np.float64)
     u += 0.5
     u *= 2.0 ** -53
-    return u
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)  # the top word rounds to 1.0
 
 
 # ---------------------------------------------------------------------------

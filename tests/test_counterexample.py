@@ -7,9 +7,11 @@ from grflab import (BUMP_MAX_DERIV_ORDER, Bump, IntegratedBump, KernelSeminormSp
                     KLField, OrderUnsupportedError, SamplePath, SupNormBelow,
                     estimate_probability, eval_kernel, eval_sample, fd_check,
                     kernel_of, kernel_seminorm)
+import grflab.field
 from grflab import counterexample as cx
 from grflab.basis import _partial_moments, grid_points
-from grflab.field import sample_batch_coeffs
+from grflab.field import batch_seminorms, sample_batch_coeffs
+from grflab.rng import normal_matrix
 
 from conftest import bisect_normal_quantile
 
@@ -87,6 +89,28 @@ def test_mc_matches_exact_probability(n):
     exact = cx.exact_small_norm_prob(n)
     se = math.sqrt(exact * (1 - exact) / 20000)
     assert abs(est.p_hat - exact) <= 3.0 * se
+
+
+def test_small_ball_estimate_draws_about_n_coefficients_per_path(monkeypatch):
+    """Each term of X_n fails sup < 1 with probability 1/n, and a path stops drawing at
+    its first failing block of terms: far fewer draws than the n^2 of a full draw, for
+    the full draw's hit count."""
+    n, paths = 30, 2000
+    cfg = cx.config(n)
+    f, event = cx.build_X_n(cfg), SupNormBelow(cx.grid_box(cfg), 0, 1.0)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        z = normal_matrix(*args, **kwargs)
+        drawn.append(z.size)
+        return z
+
+    monkeypatch.setattr(grflab.field, "normal_matrix", counted)
+    est = estimate_probability(f, event, paths, 7)
+    assert sum(drawn) / paths < 3 * n  # a full draw reads n^2 = 900
+    monkeypatch.undo()
+    full = batch_seminorms(f, sample_batch_coeffs(f, 7, np.arange(paths)), event.box, 0) < 1.0
+    assert est.p_hat == np.count_nonzero(full) / paths
 
 
 def test_mean_sup_exceeds_one_for_large_n():

@@ -20,7 +20,7 @@ import grflab.field
 from grflab import counterexample as cx
 from grflab.basis import bump_partial
 from grflab.field import (Windowed, _column_blocks, _design, _sup_split, apply_design,
-                          batch_seminorms, box_design, sample_batch_coeffs)
+                          batch_seminorms, box_design, sample_batch_coeffs, sups_below)
 from grflab.jet import _jet_covariances
 from grflab.kernel import check_psd, eval_kernel_deriv_pairs
 from grflab.mc import _zero_count_rows
@@ -456,6 +456,58 @@ def test_grid_sups_from_peaks_overflow_to_inf_silently():
     assert _sup_split(field, b, 0)[0].tolist() == [0, 1]
     sups = batch_seminorms(field, np.array([[1e200, 1.0], [1.0, 1.0]]), b, 0)
     assert sups[0] == np.inf and sups[1] == 1e200
+
+
+@st.composite
+def sup_event_cases(draw):
+    """A field whose sigmas are within 25 % of one another but for at most one term of
+    sigma 1e20 and amplitude 1e290, its grid box, and whether every term owns a column and
+    none is shared."""
+    kind = draw(st.sampled_from(["disjoint", "overlapping", "harmonic", "empty"]))
+    if kind == "empty":
+        return kl_field([], m=1, k=1), unit_interval(8), False
+    cfg = cx.config(draw(st.integers(2, 7)), unit_interval(draw(st.integers(1, 200))))
+    centers, radius = cx.bump_layout(cfg)
+    if kind == "harmonic":
+        basis = [Harmonic((draw(st.floats(0.5, 20.0)),), draw(st.floats(0.0, 6.3)), (1.0,))
+                 for _ in range(draw(st.integers(1, 6)))]
+    else:
+        scale = 1.0 if kind == "disjoint" else draw(st.floats(1.5, 4.0))
+        basis = [Bump((float(c),), radius * scale, (draw(st.floats(0.5, 1.5)),)) for c in centers]
+    sigma = draw(st.floats(0.05, 2.0))
+    sigmas = [sigma * draw(st.floats(0.8, 1.25)) for _ in basis]
+    huge = draw(st.integers(-1, 2 * len(basis)))
+    if 0 <= huge < len(basis):  # its |c| * peak overflows to inf
+        basis[huge], sigmas[huge] = Scaled(basis[huge], 1e290), 1e20
+    return kl_field(basis, sigmas), cx.grid_box(cfg), kind == "disjoint"
+
+
+@settings(max_examples=100, deadline=None)
+@given(sup_event_cases(), st.integers(0, 1), st.integers(0, 2**31), st.integers(0, 10**6),
+       st.integers(1, 200), st.sampled_from([-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 1e300, np.inf]))
+def test_sups_below_equals_the_full_draw(case, r, seed, first, n, level):
+    """Coefficient blocks that stop at a failing sample give the full draw's answer bit for
+    bit, under the default block schedule and under one that starts at three terms.  The
+    threshold is ``level`` standard deviations of a typical term's grid sup, or exactly the
+    grid sup of one of the samples."""
+    field, b, all_owners = case
+    owners, peaks, rests = _sup_split(field, b, r)
+    assert (owners.size == field.size > 0 and not any(x.shape[1] for x in rests)) == all_owners
+    indices = np.arange(first, first + n)
+    # a dense product of huge terms overflows, and sums inf - inf to nan; the blocks of
+    # an all-owner split overflow to inf silently, as the full draw's peaks do
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet):
+        sups = batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r)
+    typical = np.median(peaks) if peaks.size else 1.0
+    for threshold in (level * (min(field.sigmas) if field.size else 1.0) * typical, sups[n // 2]):
+        errors = dict.fromkeys(("divide", "over", "invalid"), "raise") if all_owners else quiet
+        with np.errstate(**errors), pytest.MonkeyPatch.context() as mp:
+            assert np.array_equal(sups_below(field, seed, indices, b, r, threshold),
+                                  sups < threshold)
+            mp.setattr(grflab.field, "_FIRST_TERMS", 3)
+            assert np.array_equal(sups_below(field, seed, indices, b, r, threshold),
+                                  sups < threshold)
 
 
 def test_windowed_design_is_refused_above_the_entry_budget(monkeypatch):

@@ -224,6 +224,19 @@ def test_check_symmetry_of_a_vector_field_transposes_the_reverse_pairs():
     assert rep == check_symmetry(lambda p, q: eval_kernel(K, p, q), list(pairs))
 
 
+@pytest.mark.parametrize("amp", [(1e200,), (1e200, -1e200)])
+def test_check_symmetry_of_an_overflowing_expansion_kernel_is_not_a_number(amp):
+    # K(p, q) overflows to inf; inf - inf is nan, or an error where invalid raises
+    field = kl_field([Harmonic((1.0,), 0.3, amp), Monomial((0,), amp)], (1.0, 0.5))
+    pairs = [([0.1], [0.7]), ([0.4], [0.4])]
+    with np.errstate(all="ignore"):
+        rep = check_symmetry(kernel_of(field), pairs)
+    assert np.isnan(rep.max_violation) and not rep.passed
+    for raised in ({"over": "raise"}, {"over": "ignore", "invalid": "raise"}):
+        with np.errstate(**raised), pytest.raises(FloatingPointError):
+            check_symmetry(kernel_of(field), pairs)
+
+
 def test_check_psd():
     rep = check_psd(kernel_of(mixed_field()), np.linspace(0, 1, 9).reshape(-1, 1))
     assert rep.passed and rep.min_eigenvalue >= -1e-10

@@ -292,11 +292,14 @@ def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
     b = unit_interval(20)
     per_sample = 21 + MIXED.size
     monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 10 * per_sample + 3)
-    seen = _map_chunks(lambda coeffs: (coeffs, threading.get_ident()), MIXED, b, 95, 2)
-    assert [c.shape[0] for c, _ in seen] == [10] * 9 + [5]
-    assert seen[0][1] == threading.get_ident()
-    assert all(ident != threading.get_ident() for _, ident in seen[1:])
-    assert np.array_equal(np.concatenate([c for c, _ in seen]),
+    # fn gets each chunk's sample indices and draws what it reads
+    seen = _map_chunks(lambda indices: (indices, sample_batch_coeffs(MIXED, 2, indices),
+                                        threading.get_ident()), MIXED, b, 95, 2)
+    assert [c.shape[0] for _, c, _ in seen] == [10] * 9 + [5]
+    assert np.array_equal(np.concatenate([i for i, _, _ in seen]), np.arange(95))
+    assert seen[0][2] == threading.get_ident()
+    assert all(ident != threading.get_ident() for _, _, ident in seen[1:])
+    assert np.array_equal(np.concatenate([c for _, c, _ in seen]),
                           sample_batch_coeffs(MIXED, 2, np.arange(95)))
     # one chunk runs in the caller and opens no pool
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
@@ -310,8 +313,8 @@ def test_chunks_run_under_the_callers_error_state(monkeypatch, overflow_chunk):
     monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 10 * (21 + MIXED.size))
     starts = sample_batch_coeffs(MIXED, 2, np.arange(0, 95, 10))[:, 0]
 
-    def fn(coeffs):
-        hit = coeffs[0, 0] == starts[overflow_chunk]
+    def fn(indices):
+        hit = sample_batch_coeffs(MIXED, 2, indices)[0, 0] == starts[overflow_chunk]
         return np.array([1e300]) * (1e300 if hit else 1.0)
 
     with np.errstate(over="raise"):

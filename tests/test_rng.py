@@ -142,12 +142,54 @@ def _mix_reference(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _uniform_reference(seed: int, index: int, draw: int) -> float:
-    """Draw ``draw`` of stream (seed, index) in Python ints, as the module docstring states."""
+def _word_reference(seed: int, index: int, draw: int) -> int:
+    """Word ``draw`` of stream (seed, index) in Python ints, as the module docstring states."""
     m64 = (1 << 64) - 1
     key = _mix_reference((seed + (index + 1) * GAMMA) & m64)
-    word = _mix_reference((key + (draw + 1) * GAMMA) & m64)
-    return ((word >> 11) + 0.5) * 2.0 ** -53
+    return _mix_reference((key + (draw + 1) * GAMMA) & m64)
+
+
+def _uniform_reference(seed: int, index: int, draw: int) -> float:
+    word = _word_reference(seed, index, draw)
+    return min(((word >> 11) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
+
+
+def _unmix_reference(z: int) -> int:
+    """The inverse of ``_mix_reference``: splitmix's finalizer is a bijection."""
+    m64 = (1 << 64) - 1
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & m64, 27)
+    return unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & m64, 30)
+
+
+def _seed_for_first_word(word: int) -> int:
+    """A seed whose stream 0 yields ``word`` as its first draw."""
+    m64 = (1 << 64) - 1
+    key = (_unmix_reference(word) - GAMMA) & m64
+    return (_unmix_reference(key) - GAMMA) & m64
+
+
+@pytest.mark.parametrize("word, u", [
+    ((1 << 64) - 1, 1.0 - 2.0 ** -53),  # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0
+    ((1 << 64) - (1 << 11) - 1, 1.0 - 2.0 ** -52),
+    (0, 2.0 ** -54),
+])
+def test_the_end_words_give_uniforms_inside_the_open_interval(word, u):
+    seed = _seed_for_first_word(word)
+    assert _word_reference(seed, 0, 0) == word
+    assert uniform_matrix(seed, [0], 1)[0, 0] == u == _uniform_reference(seed, 0, 0)
+    assert RandomStream(seed).uniforms(1)[0] == u
+    with np.errstate(all="raise"):  # the command line raises floating-point errors
+        z = normal_matrix(seed, [0], 1)[0, 0]
+        assert z == RandomStream(seed).normals(1)[0] == normal_quantile(u)
+    assert 8.0 < abs(z) < 8.3 and (z > 0.0) == (u > 0.5)
 
 
 @pytest.mark.parametrize("seed, indices, offset", [
