@@ -436,20 +436,23 @@ def families(fs) -> tuple:
     their amplitudes and what else ``kind._values`` reads, and ``factors`` their
     :class:`Scaled` factors, one row per level, innermost first, padded with 1.0.
     """
-    chains = []
-    for f in fs:
-        factors = ()
-        while isinstance(f, Scaled):
-            f, factors = f.inner, (f.factor,) + factors
-        chains.append((f, factors))
-    depth = max((len(c) for _, c in chains), default=0)
+    terms, chains = list(fs), {}  # innermost terms; Scaled factors by row, innermost first
+    for i, f in enumerate(terms):
+        if isinstance(f, Scaled):
+            chain = ()
+            while isinstance(f, Scaled):
+                f, chain = f.inner, (f.factor,) + chain
+            terms[i], chains[i] = f, chain
+    factors = np.ones((max(map(len, chains.values()), default=0), len(terms)))
+    for i, chain in chains.items():
+        factors[:len(chain), i] = chain
+    kinds = [type(f) for f in terms]
     table = []
-    for kind in dict.fromkeys(type(f) for f, _ in chains):
-        rows = [i for i, (f, _) in enumerate(chains) if type(f) is kind]
-        terms, factors = zip(*(chains[i] for i in rows))
-        padded = np.array([(*c, *(1.0,) * (depth - len(c))) for c in factors], dtype=np.float64)
-        params = (np.array([f.amplitude for f in terms], dtype=np.float64), *kind._params(terms))
-        table.append((kind, np.array(rows), params, padded.reshape(len(rows), depth).T))
+    for kind in dict.fromkeys(kinds):
+        rows = [i for i, t in enumerate(kinds) if t is kind]
+        group = tuple(terms[i] for i in rows)
+        params = (np.array([f.amplitude for f in group], dtype=np.float64), *kind._params(group))
+        table.append((kind, np.array(rows), params, factors[:, rows]))
     return tuple(table)
 
 
@@ -469,25 +472,22 @@ def evaluate(table: tuple, pts: np.ndarray, alphas: tuple, out: np.ndarray) -> N
 # finite-difference validation oracle
 # ---------------------------------------------------------------------------
 
-def _shifted(p: np.ndarray, i: int, delta: float) -> np.ndarray:
-    q = p.copy()
-    q[i] += delta
-    return q
-
-
 def _central_difference(f: BasisFunction, p: np.ndarray, alpha: MultiIndex,
                         h: float) -> np.ndarray:
     # five-point fourth-order central first difference, iterated per axis;
     # the second-order stencil cannot resolve order-4 derivatives of the
-    # bump to 1e-4 anywhere near the zeros of its fourth derivative
-    if mi_order(alpha) == 0:
-        return f.eval(p)
-    i = next(ax for ax, a in enumerate(alpha) if a > 0)
-    reduced = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-    return (_central_difference(f, _shifted(p, i, -2 * h), reduced, h)
-            - 8.0 * _central_difference(f, _shifted(p, i, -h), reduced, h)
-            + 8.0 * _central_difference(f, _shifted(p, i, h), reduced, h)
-            - _central_difference(f, _shifted(p, i, 2 * h), reduced, h)) / (12.0 * h)
+    # bump to 1e-4 anywhere near the zeros of its fourth derivative.  All
+    # 4^|alpha| stencil points are evaluated in one call, outermost shift first
+    axes = [i for i, a in enumerate(alpha) for _ in range(a)]
+    pts = p[None]
+    for i in axes:
+        pts = np.repeat(pts, 4, axis=0)
+        pts[:, i] += np.tile(np.array([-2.0, -1.0, 1.0, 2.0]) * h, pts.shape[0] // 4)
+    vals = f.eval(pts).reshape((4,) * len(axes) + (f.k,))
+    for _ in axes:  # innermost shift first, as the nested differences take it
+        vals = (vals[..., 0, :] - 8.0 * vals[..., 1, :] + 8.0 * vals[..., 2, :]
+                - vals[..., 3, :]) / (12.0 * h)
+    return vals
 
 
 def fd_check(f: BasisFunction, p, alpha, h: float) -> float:

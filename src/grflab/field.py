@@ -27,7 +27,7 @@ import numpy as np
 from .basis import BasisFunction, Box, Bump, bump_partial, evaluate, families, grid_points
 from .linalg import solve_psd_pinv
 from .multiindex import multi_indices, validate as mi_validate
-from .rng import RandomStream, normal_matrix
+from .rng import _TILE, RandomStream, normal_matrix
 
 # entry budget of one dense block: a dense design above it is refused, and
 # point, pair and sample loops are cut by ``_blocks`` to stay within it
@@ -383,30 +383,44 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
     return best
 
 
-def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float) -> np.ndarray:
+def _owners_only(field: KLField, b: Box, r: int) -> bool:
+    """Every term owns a one-entry column of the grid-sup split and no column is shared."""
+    owners, _, rests = _sup_split(field, b, r)
+    return owners.size == field.size and not any(rest.shape[1] for rest in rests)
+
+
+def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float,
+               map_slices=lambda fn, slices: [fn(rows) for rows in slices]) -> np.ndarray:
     """``batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold``.
 
-    When every term owns a column and no column is shared, the grid sup is
-    the largest ``|c_n|*peak_n``, so coefficients are drawn in blocks of
-    ``_FIRST_TERMS`` terms, then twice as many each time, and a sample stops
-    at the first block whose largest ``|c_n|*peak_n`` is not below the
-    threshold (nan included).  The counterexample ``X_n``, whose terms each
-    fail ``sup < 1`` with probability 1/n, so draws about 1.5 n of its n^2.
+    When :func:`_owners_only`, the grid sup is the largest ``|c_n|*peak_n``,
+    so coefficients are drawn in blocks of ``_FIRST_TERMS`` terms, then twice
+    as many each time, and a sample stops at the first block whose largest
+    ``|c_n|*peak_n`` is not below the threshold (nan included).  A block's
+    live samples are cut into pieces of one normal tile (``rng._TILE``
+    draws, or one sample if its block is wider), which ``map_slices(fn,
+    slices)`` decides in order, in the caller or on threads: pieces change
+    no bit.  The counterexample ``X_n``, whose terms each fail ``sup < 1``
+    with probability 1/n, so draws about 1.5 n of its n^2.
     """
-    owners, peaks, rests = _sup_split(field, b, r)
-    if owners.size < field.size or any(rest.shape[1] for rest in rests):
+    if not _owners_only(field, b, r):
         return batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold
-    indices, sigmas = np.asarray(indices), field.sigma_array
+    indices, sigmas, peaks = np.asarray(indices), field.sigma_array, _sup_split(field, b, r)[1]
     below = np.ones(indices.shape[0], dtype=bool)
     start, width = 0, _FIRST_TERMS
     while start < field.size and below.any():
         alive, stop = np.flatnonzero(below), min(start + width, field.size)
-        vals = normal_matrix(seed, indices[alive], stop - start, offset=start)
-        vals *= sigmas[start:stop]  # as in sample_batch_coeffs, then batch_seminorms
-        np.abs(vals, out=vals)
-        with np.errstate(over="ignore"):
-            vals *= peaks[start:stop]
-        below[alive] = np.max(vals, axis=1) < threshold
+
+        def decide(rows: slice) -> np.ndarray:
+            vals = normal_matrix(seed, indices[alive[rows]], stop - start, offset=start)
+            vals *= sigmas[start:stop]  # as in sample_batch_coeffs, then batch_seminorms
+            np.abs(vals, out=vals)
+            with np.errstate(over="ignore"):
+                vals *= peaks[start:stop]
+            return np.max(vals, axis=1) < threshold
+
+        pieces = list(_blocks(alive.size, stop - start, _TILE))
+        below[alive] = np.concatenate(map_slices(decide, pieces))
         start, width = stop, 2 * width
     return below
 

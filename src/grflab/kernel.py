@@ -255,8 +255,10 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
             block = (scale * designs[a][:, rows]).T @ (right[b][:, start:] if start else right[b])
             for c, K in closed:
                 block = _dense(block) + c * _closed_form_block(K, pts[rows], pts[start:], a, b)
-            # |entries| in place in a fresh dense block; a windowed max counts the implicit zeros
-            best = max(best, float((np.abs(block, out=block) if dense else abs(block)).max()))
+            # |entries| in place in a fresh dense block; a windowed max counts the implicit zeros.
+            # A nan sup stays nan: max(x, best) returns a nan x, and a nan best is kept
+            best = best if math.isnan(best) else max(
+                float((np.abs(block, out=block) if dense else abs(block)).max()), best)
     return best
 
 

@@ -4,10 +4,12 @@ Events are deterministic predicates of a sample path restricted to a box
 grid.  Estimation derives one random stream per sample index, so estimates
 are reproducible bit-for-bit from ``(seed, n_samples, event)``, and chunks
 of indices run on several threads without changing the result.  Each chunk
-draws what its event reads: a sup-norm event on disjoint bumps stops
-drawing a sample's coefficients once it has failed (see
-:func:`~grflab.field.sups_below`).  Indicator counts are integer sums (exact, order independent); real-valued
-statistics are reduced with exact compensated summation.
+draws what its event reads.  A sup-norm event on disjoint bumps runs term
+major instead: each block of terms is drawn for all live paths at once, in
+pieces of one normal tile, and a path stops drawing once it has failed (see
+:func:`~grflab.field.sups_below`).  Indicator counts are integer sums
+(exact, order independent); real-valued statistics are reduced with exact
+compensated summation.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Iterable, Union
 import numpy as np
 
 from .basis import Box
-from .field import (KLField, _blocks, apply_design, batch_seminorms, box_design,
-                    sample_batch_coeffs, sups_below)
+from .field import (KLField, _blocks, _owners_only, apply_design, batch_seminorms,
+                    box_design, sample_batch_coeffs, sups_below)
 from .kernel import KernelSeminormSpec, kernel_distance, kernel_of, kernel_seminorm
 
 
@@ -222,31 +224,32 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _map_chunks(fn, field: KLField, b: Box, n_samples: int, seed: int) -> list:
-    """``fn`` of the sample indices of each chunk of 0 .. n_samples-1, in order.
+def _chunks(field: KLField, b: Box, n_samples: int) -> list:
+    """Sample ranges of a quarter block of coefficients and grid values, whatever the cores."""
+    return list(_blocks(n_samples, 4 * (b.n_grid_points * field.k + field.size)))
 
-    ``fn`` draws what it reads of each sample's stream.  A chunk is always a
-    quarter block of coefficients and grid values, so results do not depend
-    on the core count.  The caller runs the first chunk, which fills the
-    field's design store; the rest run on at most ``min(usable cores, 4)``
-    threads, so the chunks in flight hold at most one block.  A run of one
-    chunk opens no pool.  Every chunk runs under the caller's floating-point
-    error state, which threads do not inherit.
+
+def _map_slices(fn, slices: list) -> list:
+    """``fn`` of each of the slices, in order.
+
+    The caller runs the first slice, which fills the field's design store;
+    the rest run on at most ``min(usable cores, 4)`` threads, so quarter-block
+    chunks in flight hold at most one block.  A list of one slice opens no
+    pool.  Every slice runs under the caller's floating-point error state,
+    which threads do not inherit.
     """
-    chunks = list(_blocks(n_samples, 4 * (b.n_grid_points * field.k + field.size)))
-
     def run(rows: slice, errors=np.geterr()):
         with np.errstate(**errors):
-            return fn(np.arange(rows.start, rows.stop))
+            return fn(rows)
 
-    first = run(chunks[0])
-    if len(chunks) == 1:
+    first = run(slices[0])
+    if len(slices) == 1:
         return [first]
-    threads = min(_usable_cores(), 4, len(chunks) - 1)
+    threads = min(_usable_cores(), 4, len(slices) - 1)
     # looked up here: concurrent.futures loads its thread module on first use,
     # so a command that opens no pool does not import it
     with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        return [first, *pool.map(run, chunks[1:])]
+        return [first, *pool.map(run, slices[1:])]
 
 
 def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 20000,
@@ -254,15 +257,21 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
     """Probability of ``event`` under the field's law, by direct simulation.
 
     Sample ``i`` always uses stream ``(seed, i)``, so the estimate does not
-    depend on chunking and repeated runs are bit-identical.
+    depend on chunking and repeated runs are bit-identical.  Sup-norm events on
+    disjoint bumps run term major, over ranges of a quarter block of paths
+    (:func:`~grflab.field.sups_below`); any other event chunk by chunk.
     """
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")
     _check_event(event, field)
-    count = sum(_map_chunks(
-        lambda indices: int(np.count_nonzero(_indicator_batch(event, field, seed, indices))),
-        field, event.box, n_samples, seed))
-    return _indicator_estimate(count, n_samples, seed)
+    if isinstance(event, SupNormBelow) and _owners_only(field, event.box, event.order):
+        hits = (sups_below(field, seed, np.arange(paths.start, paths.stop), event.box,
+                           event.order, event.threshold, _map_slices)
+                for paths in _blocks(n_samples, 4))
+    else:
+        hits = _map_slices(lambda rows: _indicator_batch(event, field, seed, np.arange(
+            rows.start, rows.stop)), _chunks(field, event.box, n_samples))
+    return _indicator_estimate(sum(int(np.count_nonzero(h)) for h in hits), n_samples, seed)
 
 
 def empirical_sup_mean(field: KLField, b: Box, r: int, n_samples: int = 20000,
@@ -270,9 +279,8 @@ def empirical_sup_mean(field: KLField, b: Box, r: int, n_samples: int = 20000,
     """Monte Carlo mean of the order-r grid sup-norm of sample paths."""
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    sups = _map_chunks(
-        lambda indices: batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r),
-        field, b, n_samples, seed)
+    sups = _map_slices(lambda rows: batch_seminorms(field, sample_batch_coeffs(
+        field, seed, np.arange(rows.start, rows.stop)), b, r), _chunks(field, b, n_samples))
     return _mean_estimate(np.concatenate(sups), seed)
 
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grflab import (BUMP_MAX_DERIV_ORDER, Box, Bump, Harmonic, IntegratedBump, Monomial,
                     OrderUnsupportedError, Scaled, box, fd_check, grid_points,
                     unit_interval)
-from grflab.basis import _partial_moments, _profile_poly
+from grflab.basis import _central_difference, _partial_moments, _profile_poly, families
 from grflab.field import _design, kl_field
 from grflab.multiindex import multi_indices
 
@@ -55,6 +56,62 @@ def test_terms_equal_but_for_a_signed_zero_keep_their_own_bits():
             g = Scaled(f, zeros[i])
             assert g == Scaled(f, zeros[1 - i]) and g.eval_partial(pts, (1,)).tobytes() == want[i]
             assert _design(kl_field([g]), pts, (1,)).tobytes() == want[i]
+
+
+def _families_unwrapping_every_term(fs) -> tuple:
+    """The family table as built by unwrapping every term, then one pass per family."""
+    chains = []
+    for f in fs:
+        factors = ()
+        while isinstance(f, Scaled):
+            f, factors = f.inner, (f.factor,) + factors
+        chains.append((f, factors))
+    depth = max((len(c) for _, c in chains), default=0)
+    table = []
+    for kind in dict.fromkeys(type(f) for f, _ in chains):
+        rows = [i for i, (f, _) in enumerate(chains) if type(f) is kind]
+        terms, factors = zip(*(chains[i] for i in rows))
+        padded = np.array([(*c, *(1.0,) * (depth - len(c))) for c in factors], dtype=np.float64)
+        params = (np.array([f.amplitude for f in terms], dtype=np.float64), *kind._params(terms))
+        table.append((kind, np.array(rows), params, padded.reshape(len(rows), depth).T))
+    return tuple(table)
+
+
+def _same_entries(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and (a.shape, a.dtype) == (b.shape, b.dtype)
+                and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+    return type(a) is type(b) and a == b
+
+
+_terms_1d = st.one_of(
+    st.builds(lambda e, a: Monomial((e,), (a,)), st.integers(0, 4), st.floats(-2.0, 2.0)),
+    st.builds(lambda w, p, a: Harmonic((w,), p, (a,)), st.floats(-9.0, 9.0),
+              st.floats(0.0, 6.3), st.floats(-2.0, 2.0)),
+    st.builds(lambda c, r, a: Bump((c,), r, (a,)), st.floats(-1.0, 1.0), st.floats(0.1, 2.0),
+              st.floats(-2.0, 2.0)),
+    st.builds(lambda c, q: IntegratedBump((c,), 0.5, (1.0,), q), st.floats(-1.0, 1.0),
+              st.integers(1, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_terms_1d, st.lists(st.sampled_from([2.0, -0.5, 0.0, -0.0, 1e-300]),
+                                              max_size=3)), max_size=12))
+def test_family_tables_equal_those_of_unwrapping_every_term(terms):
+    """Bit for bit, arrays, dtypes and shapes included, for mixes of families with nested
+    Scaled chains (innermost factor first), a basis without Scaled terms and the empty one."""
+    fs = []
+    for f, chain in terms:
+        for factor in chain:
+            f = Scaled(f, factor)
+        fs.append(f)
+    for basis in (fs, [f for f in fs if not isinstance(f, Scaled)]):
+        got, want = families(basis), _families_unwrapping_every_term(basis)
+        assert len(got) == len(want)
+        for (kind, rows, params, factors), (kind0, rows0, params0, factors0) in zip(got, want):
+            assert kind is kind0 and _same_entries(rows, rows0) and _same_entries(factors, factors0)
+            assert len(params) == len(params0)
+            assert all(map(_same_entries, params, params0))
 
 
 def test_monomial_multivariate():
@@ -155,6 +212,28 @@ def test_fd_grid_all_variants(order, rng_np):
         for x in _fd_points(f, rng_np):
             err = fd_check(f, [x], (order,), h)
             assert err <= tol, (type(f).__name__, order, x, err)
+
+
+def _nested_central_difference(f, p, alpha, h):
+    """The oracle's five-point differences as a recursion, one stencil point per call."""
+    if sum(alpha) == 0:
+        return f.eval(p)
+    i = next(ax for ax, a in enumerate(alpha) if a > 0)
+    reduced = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+    at = [_nested_central_difference(f, p + np.eye(len(p))[i] * d * h, reduced, h)
+          for d in (-2.0, -1.0, 1.0, 2.0)]
+    return (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * h)
+
+
+def test_one_call_stencil_gives_the_nested_differences_bits(rng_np):
+    # monomial and bump values do not depend on the batch; 2-D harmonics do (pts @ w)
+    cases = [(f, (order,)) for f in _variants_1d() for order in range(5)]
+    cases += [(f, alpha) for f in (Monomial((2, 3), (0.7,)), Bump((0.1, 0.2), 1.5, (1.0, -2.0)))
+              for alpha in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (2, 2))]
+    for f, alpha in cases:
+        for p in rng_np.uniform(-0.5, 0.5, (5, f.m)):
+            want = _nested_central_difference(f, p, alpha, 1e-3)
+            assert _central_difference(f, p, alpha, 1e-3).tobytes() == want.tobytes(), (f, alpha)
 
 
 def test_fd_mixed_2d(rng_np):

@@ -113,6 +113,28 @@ def test_small_ball_estimate_draws_about_n_coefficients_per_path(monkeypatch):
     assert est.p_hat == np.count_nonzero(full) / paths
 
 
+def test_small_ball_estimate_of_x_100_draws_in_a_few_calls_of_at_most_one_tile(monkeypatch):
+    """500 paths of X_100 are decided term block by term block over all paths: each block
+    of live paths is one normal_matrix call of at most one tile, where chunks of 33 paths
+    made 79 calls, and the paths draw what they drew chunk by chunk."""
+    cfg = cx.config(100)
+    f, event = cx.build_X_n(cfg), SupNormBelow(cx.grid_box(cfg), 0, 1.0)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        z = normal_matrix(*args, **kwargs)
+        drawn.append(z.size)
+        return z
+
+    monkeypatch.setattr(grflab.field, "normal_matrix", counted)
+    est = estimate_probability(f, event, 500, 7)
+    assert len(drawn) <= 10 and max(drawn) <= 2 ** 17
+    assert sum(drawn) == 72_352  # 144.7 of the 10,000 terms per path
+    monkeypatch.undo()
+    full = batch_seminorms(f, sample_batch_coeffs(f, 7, np.arange(500)), event.box, 0) < 1.0
+    assert est.p_hat == np.count_nonzero(full) / 500
+
+
 def test_mean_sup_exceeds_one_for_large_n():
     cfg = cx.config(100)
     f = cx.build_X_n(cfg)

@@ -237,6 +237,18 @@ def test_check_symmetry_of_an_overflowing_expansion_kernel_is_not_a_number(amp):
             check_symmetry(kernel_of(field), pairs)
 
 
+def test_kernel_distance_of_all_nan_tiles_is_not_a_number(monkeypatch):
+    # the merged weights are +-1e300 and each entry inf - inf: every tile's max is nan,
+    # which the running max keeps, in one tile or in one tile per grid row
+    f, g = (kl_field([Harmonic((0.0,), phase, (1e200,))], [1e150]) for phase in (0.0, 0.5))
+    spec = KernelSeminormSpec(box([0.0], [1.0], (8,)), 0)
+    for budget in (grflab.kernel._TILE_ENTRIES, 9):
+        monkeypatch.setattr(grflab.kernel, "_TILE_ENTRIES", budget)
+        with np.errstate(all="ignore"):
+            assert np.isnan(kernel_distance(kernel_of(f), kernel_of(g), spec))
+            assert kernel_seminorm(kernel_of(f), spec) == np.inf
+
+
 def test_check_psd():
     rep = check_psd(kernel_of(mixed_field()), np.linspace(0, 1, 9).reshape(-1, 1))
     assert rep.passed and rep.min_eigenvalue >= -1e-10

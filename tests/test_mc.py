@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import grflab.field
 import grflab.mc
-from grflab import (DegenerateZero, Harmonic, Monomial, PositiveOnBox, Scaled,
+from grflab import (Bump, DegenerateZero, Harmonic, Monomial, PositiveOnBox, Scaled,
                     SupNormBelow, ZeroCountEquals, empirical_sup_mean,
                     estimate_probability, gaussian_ratio, kl_field, limit_study,
                     normal_cdf, unit_interval)
 from grflab import counterexample as cx
-from grflab.field import apply_design, box_design, sample_batch_coeffs
-from grflab.mc import _indicator_estimate, _map_chunks, _zero_count_rows
+from grflab.field import (_owners_only, apply_design, batch_seminorms, box_design,
+                          sample_batch_coeffs)
+from grflab.mc import _chunks, _indicator_estimate, _map_slices, _zero_count_rows
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -292,9 +293,12 @@ def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
     b = unit_interval(20)
     per_sample = 21 + MIXED.size
     monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 10 * per_sample + 3)
-    # fn gets each chunk's sample indices and draws what it reads
-    seen = _map_chunks(lambda indices: (indices, sample_batch_coeffs(MIXED, 2, indices),
-                                        threading.get_ident()), MIXED, b, 95, 2)
+    # fn gets each chunk's range of sample indices and draws what it reads
+    def fn(rows):
+        indices = np.arange(rows.start, rows.stop)
+        return indices, sample_batch_coeffs(MIXED, 2, indices), threading.get_ident()
+
+    seen = _map_slices(fn, _chunks(MIXED, b, 95))
     assert [c.shape[0] for _, c, _ in seen] == [10] * 9 + [5]
     assert np.array_equal(np.concatenate([i for i, _, _ in seen]), np.arange(95))
     assert seen[0][2] == threading.get_ident()
@@ -303,7 +307,58 @@ def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
                           sample_batch_coeffs(MIXED, 2, np.arange(95)))
     # one chunk runs in the caller and opens no pool
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
-    assert len(_map_chunks(len, MIXED, b, 10, 2)) == 1
+    assert len(_map_slices(lambda rows: rows.stop - rows.start, _chunks(MIXED, b, 10))) == 1
+
+
+@st.composite
+def owner_cases(draw):
+    """``X_n``, or 1-D disjoint bumps of random signed amplitudes and sigmas, on its grid."""
+    cfg = cx.config(draw(st.integers(2, 6)), unit_interval(draw(st.integers(1, 100))))
+    if draw(st.booleans()):
+        return cx.build_X_n(cfg), cx.grid_box(cfg)
+    centers, radius = cx.bump_layout(cfg)
+    basis = [Bump((float(c),), radius, (draw(st.sampled_from([-1.0, 1.0])) * draw(
+        st.floats(0.5, 2.0)),)) for c in centers]
+    return kl_field(basis, [draw(st.floats(0.05, 2.0)) for _ in basis]), cx.grid_box(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(owner_cases(), st.integers(0, 1), st.integers(0, 2**31),
+       st.sampled_from([100, 2000, 8192, 8193, 12000]),
+       st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e300, np.inf]))
+def test_owner_sup_events_decided_term_major_equal_the_chunked_full_draw(case, r, seed, n,
+                                                                         threshold):
+    """Hit counts of the term-major blocks are those of full draws, chunk by chunk; from
+    8,193 paths, the first block (16 terms) spans two pieces of one normal tile."""
+    field, b = case
+    assert _owners_only(field, b, r)
+    want = sum(np.count_nonzero(batch_seminorms(field, sample_batch_coeffs(
+        field, seed, np.arange(rows.start, rows.stop)), b, r) < threshold)
+        for rows in _chunks(field, b, n))
+    assert estimate_probability(field, SupNormBelow(b, r, threshold), n, seed).p_hat == want / n
+
+
+def test_term_major_pieces_do_not_depend_on_the_usable_cores(monkeypatch):
+    cfg = cx.config(10)
+    field, event = cx.build_X_n(cfg), SupNormBelow(cx.grid_box(cfg), 0, 1.5)
+    want = estimate_probability(field, event, 3000, 11)
+    assert 0.1 < want.p_hat < 0.5  # paths stop in every block of 16, 32 and 52 terms
+    # pieces of 37 paths in the first block: 82 pieces, all but the first on the pool
+    monkeypatch.setattr(grflab.field, "_TILE", 16 * 37)
+    pools = []
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda threads: pools.append(threads) or pool(threads))
+    for cores in (1, 4):
+        monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert estimate_probability(field, event, 3000, 11) == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools and set(pools) == {cores}
+        pools.clear()
 
 
 @pytest.mark.parametrize("overflow_chunk", [0, 3])
@@ -313,12 +368,13 @@ def test_chunks_run_under_the_callers_error_state(monkeypatch, overflow_chunk):
     monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 10 * (21 + MIXED.size))
     starts = sample_batch_coeffs(MIXED, 2, np.arange(0, 95, 10))[:, 0]
 
-    def fn(indices):
+    def fn(rows):
+        indices = np.arange(rows.start, rows.stop)
         hit = sample_batch_coeffs(MIXED, 2, indices)[0, 0] == starts[overflow_chunk]
         return np.array([1e300]) * (1e300 if hit else 1.0)
 
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _map_chunks(fn, MIXED, b, 95, 2)
+            _map_slices(fn, _chunks(MIXED, b, 95))
     with np.errstate(over="ignore"):
-        assert np.isinf(_map_chunks(fn, MIXED, b, 95, 2)[overflow_chunk]).all()
+        assert np.isinf(_map_slices(fn, _chunks(MIXED, b, 95))[overflow_chunk]).all()
