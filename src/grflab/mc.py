@@ -224,32 +224,33 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _chunks(field: KLField, b: Box, n_samples: int) -> list:
-    """Sample ranges of a quarter block of coefficients and grid values, whatever the cores."""
-    return list(_blocks(n_samples, 4 * (b.n_grid_points * field.k + field.size)))
-
-
 def _map_slices(fn, slices: list) -> list:
     """``fn`` of each of the slices, in order.
 
-    The caller runs the first slice, which fills the field's design store;
-    the rest run on at most ``min(usable cores, 4)`` threads, so quarter-block
-    chunks in flight hold at most one block.  A list of one slice opens no
-    pool.  Every slice runs under the caller's floating-point error state,
-    which threads do not inherit.
+    Fewer than two slices run in the caller and open no pool; more run on at
+    most ``min(usable cores, 4)`` threads, so quarter-block chunks in flight
+    hold at most one block.  Every slice runs under the caller's
+    floating-point error state, which threads do not inherit.
     """
     def run(rows: slice, errors=np.geterr()):
         with np.errstate(**errors):
             return fn(rows)
 
-    first = run(slices[0])
-    if len(slices) == 1:
-        return [first]
-    threads = min(_usable_cores(), 4, len(slices) - 1)
+    if len(slices) < 2:
+        return [run(rows) for rows in slices]
+    threads = min(_usable_cores(), 4, len(slices))
     # looked up here: concurrent.futures loads its thread module on first use,
     # so a command that opens no pool does not import it
     with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        return [first, *pool.map(run, slices[1:])]
+        return list(pool.map(run, slices))
+
+
+def _map_chunks(fn, field: KLField, b: Box, n_samples: int) -> list:
+    """``fn`` of each chunk of 0 .. n_samples-1, a quarter block of coefficients and grid
+    values whatever the cores, in order.  The caller runs the first chunk, which fills the
+    field's design store, and :func:`_map_slices` the rest."""
+    first, *rest = _blocks(n_samples, 4 * (b.n_grid_points * field.k + field.size))
+    return [fn(first), *_map_slices(fn, rest)]
 
 
 def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 20000,
@@ -265,12 +266,11 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
         raise ValueError("need n_samples >= 100")
     _check_event(event, field)
     if isinstance(event, SupNormBelow) and _owners_only(field, event.box, event.order):
-        hits = (sups_below(field, seed, np.arange(paths.start, paths.stop), event.box,
-                           event.order, event.threshold, _map_slices)
-                for paths in _blocks(n_samples, 4))
+        hits = (sups_below(field, seed, np.arange(rows.start, rows.stop), event.box, event.order,
+                           event.threshold, _map_slices) for rows in _blocks(n_samples, 4))
     else:
-        hits = _map_slices(lambda rows: _indicator_batch(event, field, seed, np.arange(
-            rows.start, rows.stop)), _chunks(field, event.box, n_samples))
+        hits = _map_chunks(lambda rows: _indicator_batch(event, field, seed, np.arange(
+            rows.start, rows.stop)), field, event.box, n_samples)
     return _indicator_estimate(sum(int(np.count_nonzero(h)) for h in hits), n_samples, seed)
 
 
@@ -279,8 +279,8 @@ def empirical_sup_mean(field: KLField, b: Box, r: int, n_samples: int = 20000,
     """Monte Carlo mean of the order-r grid sup-norm of sample paths."""
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    sups = _map_slices(lambda rows: batch_seminorms(field, sample_batch_coeffs(
-        field, seed, np.arange(rows.start, rows.stop)), b, r), _chunks(field, b, n_samples))
+    sups = _map_chunks(lambda rows: batch_seminorms(field, sample_batch_coeffs(
+        field, seed, np.arange(rows.start, rows.stop)), b, r), field, b, n_samples)
     return _mean_estimate(np.concatenate(sups), seed)
 
 

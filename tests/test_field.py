@@ -499,7 +499,8 @@ def test_sups_below_equals_the_full_draw(case, r, seed, first, n, level):
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
         sups = batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r)
-    typical = np.median(peaks) if peaks.size else 1.0
+    # a Python float: a huge term's threshold overflows to inf without a warning
+    typical = float(np.median(peaks)) if peaks.size else 1.0
     for threshold in (level * (min(field.sigmas) if field.size else 1.0) * typical, sups[n // 2]):
         errors = dict.fromkeys(("divide", "over", "invalid"), "raise") if all_owners else quiet
         with np.errstate(**errors), pytest.MonkeyPatch.context() as mp:

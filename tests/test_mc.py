@@ -18,7 +18,7 @@ from grflab import (Bump, DegenerateZero, Harmonic, Monomial, PositiveOnBox, Sca
 from grflab import counterexample as cx
 from grflab.field import (_owners_only, apply_design, batch_seminorms, box_design,
                           sample_batch_coeffs)
-from grflab.mc import _chunks, _indicator_estimate, _map_slices, _zero_count_rows
+from grflab.mc import _indicator_estimate, _map_chunks, _map_slices, _zero_count_rows
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -298,7 +298,7 @@ def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
         indices = np.arange(rows.start, rows.stop)
         return indices, sample_batch_coeffs(MIXED, 2, indices), threading.get_ident()
 
-    seen = _map_slices(fn, _chunks(MIXED, b, 95))
+    seen = _map_chunks(fn, MIXED, b, 95)
     assert [c.shape[0] for _, c, _ in seen] == [10] * 9 + [5]
     assert np.array_equal(np.concatenate([i for i, _, _ in seen]), np.arange(95))
     assert seen[0][2] == threading.get_ident()
@@ -307,8 +307,18 @@ def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
                           sample_batch_coeffs(MIXED, 2, np.arange(95)))
     # one chunk runs in the caller and opens no pool
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
-    assert len(_map_slices(lambda rows: rows.stop - rows.start, _chunks(MIXED, b, 10))) == 1
+    assert len(_map_chunks(lambda rows: rows.stop - rows.start, MIXED, b, 10)) == 1
 
+
+
+def test_several_slices_run_on_the_pool_and_fewer_in_the_caller(monkeypatch):
+    slices = [slice(i, i + 1) for i in range(5)]
+    seen = _map_slices(lambda rows: (rows.start, threading.get_ident()), slices)
+    assert [start for start, _ in seen] == list(range(5))
+    assert threading.get_ident() not in {ident for _, ident in seen}
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    assert _map_slices(lambda rows: threading.get_ident(), slices[:1]) == [threading.get_ident()]
+    assert _map_slices(lambda rows: threading.get_ident(), []) == []
 
 @st.composite
 def owner_cases(draw):
@@ -332,9 +342,8 @@ def test_owner_sup_events_decided_term_major_equal_the_chunked_full_draw(case, r
     8,193 paths, the first block (16 terms) spans two pieces of one normal tile."""
     field, b = case
     assert _owners_only(field, b, r)
-    want = sum(np.count_nonzero(batch_seminorms(field, sample_batch_coeffs(
-        field, seed, np.arange(rows.start, rows.stop)), b, r) < threshold)
-        for rows in _chunks(field, b, n))
+    want = sum(_map_chunks(lambda rows: np.count_nonzero(batch_seminorms(field, sample_batch_coeffs(
+        field, seed, np.arange(rows.start, rows.stop)), b, r) < threshold), field, b, n))
     assert estimate_probability(field, SupNormBelow(b, r, threshold), n, seed).p_hat == want / n
 
 
@@ -343,7 +352,7 @@ def test_term_major_pieces_do_not_depend_on_the_usable_cores(monkeypatch):
     field, event = cx.build_X_n(cfg), SupNormBelow(cx.grid_box(cfg), 0, 1.5)
     want = estimate_probability(field, event, 3000, 11)
     assert 0.1 < want.p_hat < 0.5  # paths stop in every block of 16, 32 and 52 terms
-    # pieces of 37 paths in the first block: 82 pieces, all but the first on the pool
+    # pieces of 37 paths in the first block: 82 pieces, all on the pool
     monkeypatch.setattr(grflab.field, "_TILE", 16 * 37)
     pools = []
     pool = concurrent.futures.ThreadPoolExecutor
@@ -375,6 +384,6 @@ def test_chunks_run_under_the_callers_error_state(monkeypatch, overflow_chunk):
 
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _map_slices(fn, _chunks(MIXED, b, 95))
+            _map_chunks(fn, MIXED, b, 95)
     with np.errstate(over="ignore"):
-        assert np.isinf(_map_slices(fn, _chunks(MIXED, b, 95))[overflow_chunk]).all()
+        assert np.isinf(_map_chunks(fn, MIXED, b, 95)[overflow_chunk]).all()
