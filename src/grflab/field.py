@@ -400,8 +400,8 @@ def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: fl
     live samples are cut into pieces of one normal tile (``rng._TILE``
     draws, or one sample if its block is wider), which ``map_slices(fn,
     slices)`` decides in order, in the caller or on threads: pieces change
-    no bit.  The counterexample ``X_n``, whose terms each fail ``sup < 1``
-    with probability 1/n, so draws about 1.5 n of its n^2.
+    no bit.  The counterexample ``X_n``, each of whose terms fails ``sup < 1``
+    with probability 1/n, draws about 1.5 n of its n^2.
     """
     if not _owners_only(field, b, r):
         return batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold
