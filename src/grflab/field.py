@@ -18,6 +18,8 @@ derivative order in one pass, stacked by column, :class:`Windowed` for bumps on 
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -139,6 +141,35 @@ def _blocks(n: int, per_item: int, budget: int | None = None):
     step = max(1, (_BLOCK_ENTRIES if budget is None else budget) // max(1, per_item))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+def _usable_cores() -> int:
+    # the cores this process may run on (``taskset`` restricts them), where
+    # the platform says so
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_slices(fn, slices: list) -> list:
+    """``fn`` of each of the slices, in order: the Monte Carlo pool.
+
+    Fewer than two slices run in the caller and open no pool; more run on at
+    most ``min(usable cores, 4)`` threads, so quarter-block chunks in flight
+    hold at most one block.  Every slice runs under the caller's
+    floating-point error state, which threads do not inherit.
+    """
+    def run(rows: slice, errors=np.geterr()):
+        with np.errstate(**errors):
+            return fn(rows)
+
+    if len(slices) < 2:
+        return [run(rows) for rows in slices]
+    threads = min(_usable_cores(), 4, len(slices))
+    # looked up here: concurrent.futures loads its thread module on first use,
+    # so a command that opens no pool does not import it
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(run, slices))
 
 
 def _windowed(field: KLField) -> bool:
@@ -389,22 +420,19 @@ def _owners_only(field: KLField, b: Box, r: int) -> bool:
     return owners.size == field.size and not any(rest.shape[1] for rest in rests)
 
 
-def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float,
-               map_slices=lambda fn, slices: [fn(rows) for rows in slices]) -> np.ndarray:
-    """``batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold``.
+def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float) -> np.ndarray:
+    """``batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold``
+    for a field whose grid-sup split is :func:`_owners_only`.
 
-    When :func:`_owners_only`, the grid sup is the largest ``|c_n|*peak_n``,
-    so coefficients are drawn in blocks of ``_FIRST_TERMS`` terms, then twice
-    as many each time, and a sample stops at the first block whose largest
-    ``|c_n|*peak_n`` is not below the threshold (nan included).  A block's
-    live samples are cut into pieces of one normal tile (``rng._TILE``
-    draws, or one sample if its block is wider), which ``map_slices(fn,
-    slices)`` decides in order, in the caller or on threads: pieces change
-    no bit.  The counterexample ``X_n``, each of whose terms fails ``sup < 1``
+    The grid sup is then the largest ``|c_n|*peak_n``, so coefficients are
+    drawn in blocks of ``_FIRST_TERMS`` terms, then twice as many each time,
+    and a sample stops at the first block whose largest ``|c_n|*peak_n`` is
+    not below the threshold (nan included).  A block's live samples are cut
+    into pieces of one normal tile (``rng._TILE`` draws, or one sample if
+    its block is wider), which :func:`_map_slices` decides: pieces change no
+    bit.  The counterexample ``X_n``, each of whose terms fails ``sup < 1``
     with probability 1/n, draws about 1.5 n of its n^2.
     """
-    if not _owners_only(field, b, r):
-        return batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold
     indices, sigmas, peaks = np.asarray(indices), field.sigma_array, _sup_split(field, b, r)[1]
     below = np.ones(indices.shape[0], dtype=bool)
     start, width = 0, _FIRST_TERMS
@@ -420,7 +448,7 @@ def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: fl
             return np.max(vals, axis=1) < threshold
 
         pieces = list(_blocks(alive.size, stop - start, _TILE))
-        below[alive] = np.concatenate(map_slices(decide, pieces))
+        below[alive] = np.concatenate(_map_slices(decide, pieces))
         start, width = stop, 2 * width
     return below
 

@@ -14,17 +14,15 @@ compensated summation.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
 from .basis import Box
-from .field import (KLField, _blocks, _owners_only, apply_design, batch_seminorms,
-                    box_design, sample_batch_coeffs, sups_below)
+from .field import (KLField, _blocks, _map_slices, _owners_only, apply_design,
+                    batch_seminorms, box_design, sample_batch_coeffs, sups_below)
 from .kernel import KernelSeminormSpec, kernel_distance, kernel_of, kernel_seminorm
 
 
@@ -108,9 +106,9 @@ def _row_counts(hits: np.ndarray) -> np.ndarray:
 
 def _indicator_batch(event: EventSpec, field: KLField, seed: int,
                      indices: np.ndarray) -> np.ndarray:
-    if isinstance(event, SupNormBelow):
-        return sups_below(field, seed, indices, event.box, event.order, event.threshold)
     coeffs = sample_batch_coeffs(field, seed, indices)
+    if isinstance(event, SupNormBelow):
+        return batch_seminorms(field, coeffs, event.box, event.order) < event.threshold
     if isinstance(event, ZeroCountEquals):
         vals = apply_design(coeffs, box_design(field, event.box, (0,)))
         return _zero_count_rows(vals) == event.count
@@ -216,35 +214,6 @@ def _mean_estimate(values: np.ndarray, seed: int) -> MCEstimate:
     return MCEstimate(mean, se, n, seed, (mean - 1.96 * se, mean + 1.96 * se))
 
 
-def _usable_cores() -> int:
-    # the cores this process may run on (``taskset`` restricts them), where
-    # the platform says so
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_slices(fn, slices: list) -> list:
-    """``fn`` of each of the slices, in order.
-
-    Fewer than two slices run in the caller and open no pool; more run on at
-    most ``min(usable cores, 4)`` threads, so quarter-block chunks in flight
-    hold at most one block.  Every slice runs under the caller's
-    floating-point error state, which threads do not inherit.
-    """
-    def run(rows: slice, errors=np.geterr()):
-        with np.errstate(**errors):
-            return fn(rows)
-
-    if len(slices) < 2:
-        return [run(rows) for rows in slices]
-    threads = min(_usable_cores(), 4, len(slices))
-    # looked up here: concurrent.futures loads its thread module on first use,
-    # so a command that opens no pool does not import it
-    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(run, slices))
-
-
 def _map_chunks(fn, field: KLField, b: Box, n_samples: int) -> list:
     """``fn`` of each chunk of 0 .. n_samples-1, a quarter block of coefficients and grid
     values whatever the cores, in order.  The caller runs the first chunk, which fills the
@@ -267,7 +236,7 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
     _check_event(event, field)
     if isinstance(event, SupNormBelow) and _owners_only(field, event.box, event.order):
         hits = (sups_below(field, seed, np.arange(rows.start, rows.stop), event.box, event.order,
-                           event.threshold, _map_slices) for rows in _blocks(n_samples, 4))
+                           event.threshold) for rows in _blocks(n_samples, 4))
     else:
         hits = _map_chunks(lambda rows: _indicator_batch(event, field, seed, np.arange(
             rows.start, rows.stop)), field, event.box, n_samples)

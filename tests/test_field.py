@@ -12,15 +12,17 @@ import scipy.sparse as sp
 
 from grflab import (Box, Bump, Harmonic, IllConditionedError, IntegratedBump, Monomial,
                     OrderUnsupportedError,
-                    RandomStream, SamplePath, Scaled, cm_inner, eval_kernel, eval_sample,
+                    RandomStream, SamplePath, Scaled, SupNormBelow, cm_inner, eval_kernel,
+                    estimate_probability, eval_sample,
                     grid_points, kernel_of, kl_field, projection_residual,
                     sample, sample_seminorm, scan_nondegeneracy, support_basis,
                     unit_interval)
 import grflab.field
 from grflab import counterexample as cx
 from grflab.basis import bump_partial
-from grflab.field import (Windowed, _column_blocks, _design, _sup_split, apply_design,
-                          batch_seminorms, box_design, sample_batch_coeffs, sups_below)
+from grflab.field import (Windowed, _column_blocks, _design, _owners_only, _sup_split,
+                          apply_design, batch_seminorms, box_design, sample_batch_coeffs,
+                          sups_below)
 from grflab.jet import _jet_covariances
 from grflab.kernel import check_psd, eval_kernel_deriv_pairs
 from grflab.mc import _zero_count_rows
@@ -487,12 +489,16 @@ def sup_event_cases(draw):
        st.integers(1, 200), st.sampled_from([-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 1e300, np.inf]))
 def test_sups_below_equals_the_full_draw(case, r, seed, first, n, level):
     """Coefficient blocks that stop at a failing sample give the full draw's answer bit for
-    bit, under the default block schedule and under one that starts at three terms.  The
+    bit, under the default block schedule and under one that starts at three terms.  Other
+    fields are drawn in full, which their estimate, from sample 0, must count.  The
     threshold is ``level`` standard deviations of a typical term's grid sup, or exactly the
     grid sup of one of the samples."""
     field, b, all_owners = case
     owners, peaks, rests = _sup_split(field, b, r)
     assert (owners.size == field.size > 0 and not any(x.shape[1] for x in rests)) == all_owners
+    assert _owners_only(field, b, r) == all_owners
+    if not all_owners:
+        first, n = 0, max(n, 100)
     indices = np.arange(first, first + n)
     # a dense product of huge terms overflows, and sums inf - inf to nan; the blocks of
     # an all-owner split overflow to inf silently, as the full draw's peaks do
@@ -504,6 +510,10 @@ def test_sups_below_equals_the_full_draw(case, r, seed, first, n, level):
     for threshold in (level * (min(field.sigmas) if field.size else 1.0) * typical, sups[n // 2]):
         errors = dict.fromkeys(("divide", "over", "invalid"), "raise") if all_owners else quiet
         with np.errstate(**errors), pytest.MonkeyPatch.context() as mp:
+            if not all_owners:
+                est = estimate_probability(field, SupNormBelow(b, r, threshold), n, seed)
+                assert est.p_hat == np.count_nonzero(sups < threshold) / n
+                continue
             assert np.array_equal(sups_below(field, seed, indices, b, r, threshold),
                                   sups < threshold)
             mp.setattr(grflab.field, "_FIRST_TERMS", 3)

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grflab.field
-import grflab.mc
 from grflab import (Bump, DegenerateZero, Harmonic, Monomial, PositiveOnBox, Scaled,
                     SupNormBelow, ZeroCountEquals, empirical_sup_mean,
                     estimate_probability, gaussian_ratio, kl_field, limit_study,
                     normal_cdf, unit_interval)
 from grflab import counterexample as cx
-from grflab.field import (_owners_only, apply_design, batch_seminorms, box_design,
-                          sample_batch_coeffs)
-from grflab.mc import _indicator_estimate, _map_chunks, _map_slices, _zero_count_rows
+from grflab.field import (_map_slices, _owners_only, apply_design, batch_seminorms,
+                          box_design, sample_batch_coeffs)
+from grflab.mc import _indicator_estimate, _map_chunks, _zero_count_rows
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -280,7 +279,7 @@ def test_many_chunks_on_the_pool_equal_one_chunk(monkeypatch):
     # result depends neither on the number of threads nor on how they interleave
     monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 37 * per_sample)
     for cores in (1, 2, 4):
-        monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(grflab.field, "_usable_cores", lambda: cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -359,7 +358,7 @@ def test_term_major_pieces_do_not_depend_on_the_usable_cores(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda threads: pools.append(threads) or pool(threads))
     for cores in (1, 4):
-        monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(grflab.field, "_usable_cores", lambda: cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
