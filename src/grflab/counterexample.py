@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Box, Bump, IntegratedBump, unit_interval
+from .basis import Box, IntegratedBump, unit_interval
 from .field import KLField, kl_field
 from .kernel import KernelSeminormSpec, kernel_of, kernel_seminorm
 from .mc import MCEstimate, SupNormBelow, estimate_probability
@@ -82,11 +82,11 @@ def bump_layout(cfg: CounterexampleConfig) -> tuple[np.ndarray, float]:
 
 
 def build_X_n(cfg: CounterexampleConfig) -> KLField:
-    """The ensemble: n^2 unit-peak disjoint bumps, all sigmas 1/a_n."""
+    """The ensemble: n^2 unit-peak disjoint bumps, all sigmas 1/a_n, as one bump family."""
     centers, radius = bump_layout(cfg)
-    scale = 1.0 / a_n(cfg.n)
-    basis = tuple(Bump((float(c),), radius, (1.0,)) for c in centers)
-    return kl_field(basis, (scale,) * len(basis))
+    n_sq = centers.size
+    return KLField.from_bumps(np.ones((n_sq, 1)), centers[:, None], np.full(n_sq, radius),
+                              (1.0 / a_n(cfg.n),) * n_sq)
 
 
 def exact_small_norm_prob(n: int) -> float:
@@ -114,9 +114,9 @@ def kernel_sup_decay(n_values, base_box: Box | None = None) -> list[float]:
 
 def build_Y_n(cfg: CounterexampleConfig) -> KLField:
     """The r-fold integral of :func:`build_X_n`, r = ``cfg.integration_order`` >= 1."""
-    x_n = build_X_n(cfg)
-    return kl_field([IntegratedBump(f.center, f.radius, f.amplitude, cfg.integration_order)
-                     for f in x_n.basis], x_n.sigmas)
+    centers, radius = bump_layout(cfg)
+    return kl_field([IntegratedBump((c,), radius, (1.0,), cfg.integration_order)
+                     for c in centers.tolist()], (1.0 / a_n(cfg.n),) * centers.size)
 
 
 # ---------------------------------------------------------------------------

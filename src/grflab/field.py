@@ -51,22 +51,49 @@ class KLField:
     def __post_init__(self):
         if self.m < 1 or self.k < 1:
             raise ValueError("need m >= 1 and k >= 1")
-        if len(self.basis) != len(self.sigmas):
-            raise ValueError("need one sigma per basis function")
-        if not all(0 < s < np.inf for s in self.sigmas):
+        if "basis" in self.__dict__:  # built from terms, not by from_bumps
+            if len(self.basis) != len(self.sigmas):
+                raise ValueError("need one sigma per basis function")
+            for f in self.basis:
+                if (f.m, f.k) != (self.m, self.k):
+                    raise ValueError("all basis functions must share (m, k)")
+        if not ((self.sigma_array > 0) & (self.sigma_array < np.inf)).all():
             raise ValueError("sigmas must be finite and positive")
-        for f in self.basis:
-            if (f.m, f.k) != (self.m, self.k):
-                raise ValueError("all basis functions must share (m, k)")
         object.__setattr__(self, "_store", {})  # designs by (box, alphas), splits by (box, r)
+
+    @classmethod
+    def from_bumps(cls, amplitudes, centers, radii, sigmas) -> "KLField":
+        """The field of the :class:`Bump` terms of (N, k) ``amplitudes``, (N, m) ``centers`` and
+        (N,) ``radii``, copied into one family table; no term is made until ``basis`` is read."""
+        params = tuple(np.array(p, dtype=np.float64) for p in (amplitudes, centers, radii))
+        (amplitudes, centers, radii), n = params, len(sigmas)
+        if ([p.ndim for p in params] != [2, 2, 1] or {p.shape[0] for p in params} != {n}
+                or not (radii > 0).all()):
+            raise ValueError("need (N, k) amplitudes, (N, m) centers, N positive radii, N sigmas")
+        field = cls.__new__(cls)
+        field.__dict__.update(sigmas=tuple(map(float, sigmas)), m=centers.shape[1],
+                              k=amplitudes.shape[1],
+                              _families=((Bump, np.arange(n), params, np.ones((0, n))),))
+        field.__post_init__()
+        return field
+
+    def __getattr__(self, name):  # only the basis of a from_bumps field is ever missing
+        if name != "basis":
+            raise AttributeError(name)
+        amps, centers, radii = (p.tolist() for p in self._families[0][2])
+        self.__dict__["basis"] = tuple(map(Bump, map(tuple, centers), radii, map(tuple, amps)))
+        return self.basis
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.sigmas)
 
-    @property
+    @cached_property
     def sigma_array(self) -> np.ndarray:
-        return np.asarray(self.sigmas, dtype=np.float64)
+        """The sigmas as one read-only array, made once."""
+        sigmas = np.array(self.sigmas, dtype=np.float64)
+        sigmas.setflags(write=False)
+        return sigmas
 
     @cached_property
     def _families(self) -> tuple:
@@ -428,10 +455,11 @@ def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: fl
     drawn in blocks of ``_FIRST_TERMS`` terms, then twice as many each time,
     and a sample stops at the first block whose largest ``|c_n|*peak_n`` is
     not below the threshold (nan included).  A block's live samples are cut
-    into pieces of one normal tile (``rng._TILE`` draws, or one sample if
-    its block is wider), which :func:`_map_slices` decides: pieces change no
-    bit.  The counterexample ``X_n``, each of whose terms fails ``sup < 1``
-    with probability 1/n, draws about 1.5 n of its n^2.
+    into pieces of at most half a normal tile (``rng._TILE // 2`` draws, or one
+    sample if its block is wider), so a block of more than half a tile runs
+    on :func:`_map_slices`' pool: pieces change no bit.  The counterexample
+    ``X_n``, each of whose terms fails ``sup < 1`` with probability 1/n, draws
+    about 1.5 n of its n^2.
     """
     indices, sigmas, peaks = np.asarray(indices), field.sigma_array, _sup_split(field, b, r)[1]
     below = np.ones(indices.shape[0], dtype=bool)
@@ -447,7 +475,7 @@ def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: fl
                 vals *= peaks[start:stop]
             return np.max(vals, axis=1) < threshold
 
-        pieces = list(_blocks(alive.size, stop - start, _TILE))
+        pieces = list(_blocks(alive.size, stop - start, _TILE // 2))
         below[alive] = np.concatenate(_map_slices(decide, pieces))
         start, width = stop, 2 * width
     return below

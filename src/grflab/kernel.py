@@ -216,7 +216,8 @@ def _signed_sup(signed, spec: KernelSeminormSpec) -> float:
     fields = [(c, K.field) for c, K in signed if isinstance(K, KLKernel) and K.field.size]
     if len(fields) == 1:
         (c, field), = fields
-        _check_weights(s * s for s in field.sigmas)
+        top = float(field.sigma_array.max())  # the largest weight is finite or none is
+        _check_weights([top * top])
         signs = np.full(field.size, c)
     else:
         merged = Counter()

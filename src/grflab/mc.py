@@ -6,8 +6,8 @@ are reproducible bit-for-bit from ``(seed, n_samples, event)``, and chunks
 of indices run on several threads without changing the result.  Each chunk
 draws what its event reads.  A sup-norm event on disjoint bumps runs term
 major instead: each block of terms is drawn for all live paths at once, in
-pieces of one normal tile, and a path stops drawing once it has failed (see
-:func:`~grflab.field.sups_below`).  Indicator counts are integer sums
+pieces of at most half a normal tile, and a path stops drawing once it has
+failed (see :func:`~grflab.field.sups_below`).  Indicator counts are integer sums
 (exact, order independent); real-valued statistics are reduced with exact
 compensated summation.
 """

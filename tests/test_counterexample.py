@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grflab import (BUMP_MAX_DERIV_ORDER, Bump, IntegratedBump, KernelSeminormSpec,
                     KLField, OrderUnsupportedError, SamplePath, SupNormBelow,
                     estimate_probability, eval_kernel, eval_sample, fd_check,
-                    kernel_of, kernel_seminorm)
+                    field_digest, kernel_of, kernel_seminorm, kl_field)
 import grflab.field
 from grflab import counterexample as cx
-from grflab.basis import _partial_moments, grid_points
+from grflab.basis import _partial_moments, box, families, grid_points, unit_interval
 from grflab.field import batch_seminorms, sample_batch_coeffs
 from grflab.rng import normal_matrix
 
@@ -41,6 +42,70 @@ def test_build_x_n_structure():
     assert eval_kernel(K, [centers[0] + radius], [centers[1]])[0, 0] == 0.0
     spacing = centers[1] - centers[0]
     assert 2 * radius < spacing
+
+
+def term_built_x_n(cfg):
+    """``X_n`` built term by term, as one ``Bump`` per layout centre."""
+    centers, radius = cx.bump_layout(cfg)
+    basis = tuple(Bump((float(c),), radius, (1.0,)) for c in centers)
+    return kl_field(basis, (1.0 / cx.a_n(cfg.n),) * len(basis))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.sampled_from([unit_interval(), unit_interval(7), box(-3.5, 2.25, 300),
+                                            box(-1.0, -0.25, 64), box(1e3, 1e3 + 0.1, 256)]))
+def test_x_n_built_from_the_layout_arrays_equals_the_term_built_field(n, base):
+    """``build_X_n`` keeps its bumps as one family table, with no ``Bump`` made: the table
+    is the term-built field's bit for bit, and so are its basis, once read, and digest."""
+    cfg = cx.config(n, base)
+    field, want = cx.build_X_n(cfg), term_built_x_n(cfg)
+    assert "basis" not in field.__dict__
+    ((kind, rows, params, factors),) = field._families
+    ((want_kind, want_rows, want_params, want_factors),) = families(want.basis)
+    assert kind is want_kind is Bump
+    for got, expected in zip((rows, *params, factors), (want_rows, *want_params, want_factors)):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+    assert (field.sigmas, field.m, field.k) == (want.sigmas, want.m, want.k)
+    assert np.array_equal(field.sigma_array, want.sigma_array)
+    assert "basis" not in field.__dict__
+    assert len(field.basis) == n * n
+    for got, expected in zip(field.basis, want.basis):
+        assert type(got) is Bump and got == expected and repr(got) == repr(expected)
+    assert field == want and repr(field) == repr(want)
+    assert field_digest(field) == field_digest(want)
+
+
+def test_from_bumps_checks_its_arrays():
+    ones = np.ones((4, 1))
+    for args in ((ones, ones, np.full(4, 0.1), (1.0,) * 3),  # one sigma short
+                 (ones, ones, np.array([0.1, 0.1, 0.0, 0.1]), (1.0,) * 4),
+                 (ones, ones, np.full(4, np.nan), (1.0,) * 4),
+                 (np.ones(4), ones, np.full(4, 0.1), (1.0,) * 4),
+                 (ones, ones, np.full((4, 1), 0.1), (1.0,) * 4)):
+        with pytest.raises(ValueError, match="N positive radii"):
+            KLField.from_bumps(*args)
+    with pytest.raises(ValueError, match="sigmas must be finite and positive"):
+        KLField.from_bumps(ones, ones, np.full(4, 0.1), (1.0, 1.0, math.nan, 1.0))
+    field = KLField.from_bumps(np.ones((4, 2)), np.zeros((4, 3)), np.full(4, 0.1), (1.0,) * 4)
+    assert (field.m, field.k, field.size) == (3, 2, 4)
+    with pytest.raises(AttributeError):
+        field.bases
+
+
+def test_study_of_x_100_stays_on_arrays(monkeypatch):
+    """``counterexample --n 100`` builds no ``Bump`` and never reads ``basis``, and its row
+    is that of the term-built field."""
+    made, reads = [], []
+    post_init, getattr_ = Bump.__post_init__, KLField.__getattr__
+    monkeypatch.setattr(Bump, "__post_init__", lambda f: made.append(f) or post_init(f))
+    monkeypatch.setattr(KLField, "__getattr__", lambda f, name: reads.append(name) or getattr_(
+        f, name))
+    rows = cx.study([100], 500, 7)
+    assert made == [] and "basis" not in reads
+    monkeypatch.setattr(cx, "build_X_n", term_built_x_n)
+    assert rows == cx.study([100], 500, 7)
+    assert len(made) == 100 * 100
 
 
 def test_centers_on_grid():
@@ -149,6 +214,17 @@ def test_build_y_n_requires_integration_order():
         cx.build_Y_n(cx.config(2))
     with pytest.raises(ValueError):
         cx.config(1)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_y_n_built_from_the_layout_equals_the_integral_of_x_n_terms(n, r):
+    cfg = cx.config(n, integration_order=r)
+    x_n = term_built_x_n(cfg)
+    want = [IntegratedBump(f.center, f.radius, f.amplitude, r) for f in x_n.basis]
+    y_n = cx.build_Y_n(cfg)
+    assert list(y_n.basis) == want and repr(y_n.basis) == repr(tuple(want))
+    assert y_n.sigmas == x_n.sigmas and y_n == kl_field(want, x_n.sigmas)
 
 
 # the integration grid of the former Simpson tabulation: step 1/4096 from 0.1 left of the box

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import scipy.sparse as sp
 
-from grflab import (Box, Bump, Harmonic, IllConditionedError, IntegratedBump, Monomial,
-                    OrderUnsupportedError,
+from grflab import (Box, Bump, Harmonic, IllConditionedError, IntegratedBump,
+                    KernelSeminormSpec, Monomial, OrderUnsupportedError,
                     RandomStream, SamplePath, Scaled, SupNormBelow, cm_inner, eval_kernel,
                     estimate_probability, eval_sample,
-                    grid_points, kernel_of, kl_field, projection_residual,
+                    grid_points, kernel_of, kernel_seminorm, kl_field, projection_residual,
                     sample, sample_seminorm, scan_nondegeneracy, support_basis,
                     unit_interval)
 import grflab.field
@@ -50,6 +50,36 @@ def test_field_needs_positive_dimensions(m, k):
 def test_field_refuses_non_finite_and_non_positive_sigmas(sigma):
     with pytest.raises(ValueError, match="sigmas must be finite and positive"):
         kl_field([ONE, T], [1.0, sigma])
+
+
+def sigma_callers(field):
+    """What the kernel, jet and sampling layers compute from a 1-D field's sigmas."""
+    b, pts = unit_interval(36), np.array([[0.2], [0.55]])
+    K = kernel_of(field)
+    return (kernel_seminorm(K, KernelSeminormSpec(b, 1)), eval_kernel(K, [0.3], [0.4]),
+            *_jet_covariances(K, pts, 1), sample(field, RandomStream(4)).coeffs,
+            sample_batch_coeffs(field, 5, np.arange(7)), support_basis(field, [0.45], 0).coeffs,
+            estimate_probability(field, SupNormBelow(b, 0, 0.9), 300, 6))
+
+
+@pytest.mark.parametrize("field", [
+    kl_field([ONE, T, Harmonic((7.0,), 0.3, (1.0,))], [0.5, 2.0, 1.25]),
+    cx.build_X_n(cx.config(3, unit_interval(36)))], ids=["terms", "x_3"])
+def test_sigma_array_is_made_once_and_read_only(field):
+    """Every caller gets the one read-only sigma array of a field: a cache a caller cannot
+    write.  The kernel, jet and sampling layers run over it as over a fresh copy."""
+    sigmas = field.sigma_array
+    assert sigmas is field.sigma_array and not sigmas.flags.writeable
+    assert sigmas.tolist() == list(field.sigmas)
+    with pytest.raises(ValueError, match="read-only"):
+        sigmas[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sigmas *= 2.0
+    got = sigma_callers(field)
+    assert sigmas.tolist() == list(field.sigmas)
+    fresh = kl_field(field.basis, field.sigmas)
+    for a, b in zip(got, sigma_callers(fresh)):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 def test_constant_field_variance():

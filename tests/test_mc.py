@@ -338,7 +338,8 @@ def owner_cases(draw):
 def test_owner_sup_events_decided_term_major_equal_the_chunked_full_draw(case, r, seed, n,
                                                                          threshold):
     """Hit counts of the term-major blocks are those of full draws, chunk by chunk; from
-    8,193 paths, the first block (16 terms) spans two pieces of one normal tile."""
+    4,097 paths, the first block (16 terms) spans two pieces of half a normal tile, from
+    8,193 three."""
     field, b = case
     assert _owners_only(field, b, r)
     want = sum(_map_chunks(lambda rows: np.count_nonzero(batch_seminorms(field, sample_batch_coeffs(
@@ -351,7 +352,7 @@ def test_term_major_pieces_do_not_depend_on_the_usable_cores(monkeypatch):
     field, event = cx.build_X_n(cfg), SupNormBelow(cx.grid_box(cfg), 0, 1.5)
     want = estimate_probability(field, event, 3000, 11)
     assert 0.1 < want.p_hat < 0.5  # paths stop in every block of 16, 32 and 52 terms
-    # pieces of 37 paths in the first block: 82 pieces, all on the pool
+    # pieces of 18 paths (half the tile) in the first block: 167 pieces, all on the pool
     monkeypatch.setattr(grflab.field, "_TILE", 16 * 37)
     pools = []
     pool = concurrent.futures.ThreadPoolExecutor
