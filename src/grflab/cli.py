@@ -132,26 +132,26 @@ def _sample_args(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _covariance_args(p):
+def _kernel_or_field(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kernel", help="kernel JSON (path or inline)")
     g.add_argument("--field", help="field JSON; uses its induced kernel")
+
+
+def _covariance_args(p):
+    _kernel_or_field(p)
     p.add_argument("--points", required=True,
                    help="JSON list of [p, q] point pairs")
 
 
 def _seminorm_args(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--kernel")
-    g.add_argument("--field")
+    _kernel_or_field(p)
     p.add_argument("--order", type=int, default=0)
     p.add_argument("--box")
 
 
 def _jet_scan_args(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--kernel")
-    g.add_argument("--field")
+    _kernel_or_field(p)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--box")
     p.add_argument("--rel-tol", type=float, default=1e-9)
@@ -189,9 +189,7 @@ def _counterexample_args(p):
 
 
 def _validate_args(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--kernel")
-    g.add_argument("--field")
+    _kernel_or_field(p)
     p.add_argument("--box")
     p.add_argument("--points", help="JSON list of points (overrides --box grid)")
     p.add_argument("--tol", type=float, default=None)

@@ -14,6 +14,7 @@ dense product differently with its row count, so such loops use fixed sizes.
 
 Designs read the field's family table and build every requested
 derivative order in one pass, stacked by column, :class:`Windowed` for bumps on the line.
+Grid sups read per-term peaks where every term owns its grid columns, the product elsewhere.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class KLField:
                     raise ValueError("all basis functions must share (m, k)")
         if not ((self.sigma_array > 0) & (self.sigma_array < np.inf)).all():
             raise ValueError("sigmas must be finite and positive")
-        object.__setattr__(self, "_store", {})  # designs by (box, alphas), splits by (box, r)
+        object.__setattr__(self, "_store", {})  # designs by (box, alphas), peaks by (box, r)
 
     @classmethod
     def from_bumps(cls, amplitudes, centers, radii, sigmas) -> "KLField":
@@ -215,8 +216,8 @@ class Windowed:
 
     Products sum each output from 0.0 in order of the shared index, as CSR products do, so
     they round and drop zeros as scipy's ``csr_array`` did, and do not warn on overflow.
-    Consumers use ``@`` (also via ``.T``; windowed by windowed stays windowed), column slices
-    and masks, ``*`` by a vector or a windowed matrix, ``abs``, ``.sum`` and ``.max``."""
+    Consumers use ``@`` (also via ``.T``; windowed by windowed stays windowed), column slices,
+    ``*`` by a vector or a windowed matrix, ``abs``, ``.sum`` and ``.max``."""
 
     __array_ufunc__ = None  # an ndarray's `@` and `*` defer to the reflected methods
 
@@ -332,10 +333,10 @@ def _design(field: KLField, pts: np.ndarray, *alphas):
     ``(i*G + g)*k + j`` is ``alphas[i]`` at point ``g``, component ``j``, and
     :func:`_column_blocks` cuts out each order.  A :func:`_windowed` field gets
     a :class:`Windowed` design at any points; every other field a dense array.
-    Either is refused with :class:`MemoryError` before it is built when one
-    order would store more than ``_BLOCK_ENTRIES`` entries.  Consumers read either
-    form through the operations both support: ``@``, elementwise ``*``,
-    ``.sum(axis=...)``, column slices and ``abs(...).max(axis=0)``.
+    Either is read-only as built, and refused with :class:`MemoryError` before it
+    is built when one order would store more than ``_BLOCK_ENTRIES`` entries.
+    Consumers read either form through the operations both support: ``@``,
+    elementwise ``*``, ``.sum(axis=...)``, column slices and ``abs(...).max(axis=0)``.
     """
     alphas = tuple(mi_validate(a, field.m) for a in alphas)
     if pts.ndim != 2 or pts.shape[1] != field.m:
@@ -347,6 +348,7 @@ def _design(field: KLField, pts: np.ndarray, *alphas):
     _check_entries(field.size * pts.shape[0] * field.k)
     out = np.empty((field.size, len(alphas), pts.shape[0], field.k))
     evaluate(field._families, pts, alphas, out)
+    out.setflags(write=False)
     return out.reshape(field.size, len(alphas) * pts.shape[0] * field.k)
 
 
@@ -365,51 +367,46 @@ def box_design(field: KLField, b: Box, *alphas):
     """:func:`_design` of the multi-indices ``alphas`` on the grid of ``b``.
 
     Sparse for bump fields, dense otherwise.  Kept in the field's store and
-    handed to every caller, so its arrays are read-only.
+    handed to every caller as built: read-only.
     """
     design = field._store.get((b, alphas))
     _lookups[design is None] += 1
     if design is None:
         design = field._store[b, alphas] = _design(field, grid_points(b), *alphas)
-        if isinstance(design, np.ndarray):  # a windowed design is read-only as built
-            design.setflags(write=False)
     return design
 
 
 box_design.cache_info = lambda: tuple(_lookups)
 
 
-def _sup_split(field: KLField, b: Box, r: int):
-    """``(owners, peaks, rests)`` of the :func:`box_design` of orders <= r, for grid sups.
+def _peaks(field: KLField, b: Box, r: int):
+    """Per-term peaks ``max |d|`` of the :func:`box_design` of orders <= r, or None.
 
-    A column with one stored entry ``d`` of term ``n`` holds the path value
-    ``c_n*d``, rounded once, and ``|fl(c*d)| = fl(|c|*|d|)``; rounding is
-    monotone, so the largest over a term's one-entry columns is
-    ``|c_n|*peak_n`` with ``peak_n`` its largest ``|d|`` there.  ``owners``
-    are the terms with such columns, ``peaks`` their peaks, and ``rests``
-    the designs on the columns with two or more entries, each column summed
-    in its own order: a windowed product sums each column alone, so all
-    orders make one rest; a dense one is all rest, one design per order, as
-    BLAS may round a product by its shape.  Columns without entries hold 0.
-    Kept in the field's store beside the design, so the arrays are read-only.
+    Peaks exist where every term owns its columns: the design is windowed, no
+    grid column holds two entries and every term has an entry.  A column with
+    one stored entry ``d`` of term ``n`` holds the path value ``c_n*d``, rounded
+    once, and ``|fl(c*d)| = fl(|c|*|d|)``; rounding is monotone, so the grid
+    sup is the largest ``|c_n|*peak_n``, and columns without entries hold 0.
+    Kept in the field's store beside the design, so the peaks are read-only.
     """
-    if (b, r) in field._store:
-        return field._store[b, r]
-    alphas = multi_indices(field.m, r)
-    design = box_design(field, b, *alphas)
-    if isinstance(design, Windowed):
-        per_column = np.bincount(design.cols, minlength=design.shape[1])
-        single = per_column[design.cols] == 1
-        peaks = np.zeros(design.shape[0])
-        np.maximum.at(peaks, design.rows[single], np.abs(design.data[single]))
-        owners = np.flatnonzero(peaks)  # stored entries are non-zero
-        peaks, rests = peaks[owners], (design[:, per_column >= 2],)
-    else:
-        owners, peaks = np.empty(0, dtype=np.intp), np.empty(0)
-        rests = tuple(_column_blocks(design, len(alphas)))  # views of the read-only design
-    owners.setflags(write=False)
-    peaks.setflags(write=False)
-    return field._store.setdefault((b, r), (owners, peaks, rests))
+    if (b, r) not in field._store:
+        design, peaks = box_design(field, b, *multi_indices(field.m, r)), None
+        if (isinstance(design, Windowed) and design.nnz and np.bincount(design.cols).max() == 1
+                and np.bincount(design.rows, minlength=design.shape[0]).all()):
+            peaks = np.zeros(design.shape[0])
+            np.maximum.at(peaks, design.rows, np.abs(design.data))
+            peaks.setflags(write=False)
+        field._store.setdefault((b, r), peaks)
+    return field._store[b, r]
+
+
+def _sups_from_peaks(coeffs: np.ndarray, peaks: np.ndarray, out=None) -> np.ndarray:
+    """Row maxima of ``|coeffs|*peaks``; ``|coeffs|`` is taken into ``out``, a fresh array
+    by default.  An overflow is inf without a warning, as in a windowed product."""
+    vals = np.abs(coeffs, out=out)
+    with np.errstate(over="ignore"):
+        vals *= peaks
+    return np.max(vals, axis=1)
 
 
 def apply_design(coeffs: np.ndarray, design) -> np.ndarray:
@@ -421,35 +418,26 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
     """Grid sup of all partials of order <= r, all components, per coefficient row.
 
     A lower bound for the true sup over the box, exact when the extrema lie
-    on grid points.  Bits are those of ``max |coeffs @ box_design|``: see
-    :func:`_sup_split`.
+    on grid points.  Bits are those of ``max |coeffs @ box_design|``: from the
+    :func:`_peaks` where they exist, else from the product, whole for a windowed
+    design, which sums each column alone, and order by order for a dense one.
     """
+    peaks = _peaks(field, b, r)
+    if peaks is not None:
+        return _sups_from_peaks(coeffs, peaks)
+    alphas = multi_indices(field.m, r)
+    design = box_design(field, b, *alphas)
     best = np.zeros(coeffs.shape[0])
-    owners, peaks, rests = _sup_split(field, b, r)
-    if owners.size:
-        # every term owns a column on disjoint bumps: no copy of the coefficients
-        vals = np.abs(coeffs if owners.size == coeffs.shape[1] else coeffs[:, owners])
-        # an overflow is inf without a warning, as in a windowed product
-        with np.errstate(over="ignore"):
-            vals *= peaks
-        np.maximum(best, np.max(vals, axis=1), out=best)
-    for rest in rests:
-        if rest.shape[1]:
-            vals = apply_design(coeffs, rest)
-            # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
-            np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
+    for part in [design] if isinstance(design, Windowed) else _column_blocks(design, len(alphas)):
+        vals = apply_design(coeffs, part)
+        # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
+        np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
     return best
-
-
-def _owners_only(field: KLField, b: Box, r: int) -> bool:
-    """Every term owns a one-entry column of the grid-sup split and no column is shared."""
-    owners, _, rests = _sup_split(field, b, r)
-    return owners.size == field.size and not any(rest.shape[1] for rest in rests)
 
 
 def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float) -> np.ndarray:
     """``batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold``
-    for a field whose grid-sup split is :func:`_owners_only`.
+    for a field with grid-sup :func:`_peaks`.
 
     The grid sup is then the largest ``|c_n|*peak_n``, so coefficients are
     drawn in blocks of ``_FIRST_TERMS`` terms, then twice as many each time,
@@ -461,7 +449,7 @@ def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: fl
     ``X_n``, each of whose terms fails ``sup < 1`` with probability 1/n, draws
     about 1.5 n of its n^2.
     """
-    indices, sigmas, peaks = np.asarray(indices), field.sigma_array, _sup_split(field, b, r)[1]
+    indices, sigmas, peaks = np.asarray(indices), field.sigma_array, _peaks(field, b, r)
     below = np.ones(indices.shape[0], dtype=bool)
     start, width = 0, _FIRST_TERMS
     while start < field.size and below.any():
@@ -470,10 +458,7 @@ def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: fl
         def decide(rows: slice) -> np.ndarray:
             vals = normal_matrix(seed, indices[alive[rows]], stop - start, offset=start)
             vals *= sigmas[start:stop]  # as in sample_batch_coeffs, then batch_seminorms
-            np.abs(vals, out=vals)
-            with np.errstate(over="ignore"):
-                vals *= peaks[start:stop]
-            return np.max(vals, axis=1) < threshold
+            return _sups_from_peaks(vals, peaks[start:stop], out=vals) < threshold
 
         pieces = list(_blocks(alive.size, stop - start, _TILE // 2))
         below[alive] = np.concatenate(_map_slices(decide, pieces))

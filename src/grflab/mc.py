@@ -4,12 +4,13 @@ Events are deterministic predicates of a sample path restricted to a box
 grid.  Estimation derives one random stream per sample index, so estimates
 are reproducible bit-for-bit from ``(seed, n_samples, event)``, and chunks
 of indices run on several threads without changing the result.  Each chunk
-draws what its event reads.  A sup-norm event on disjoint bumps runs term
-major instead: each block of terms is drawn for all live paths at once, in
-pieces of at most half a normal tile, and a path stops drawing once it has
-failed (see :func:`~grflab.field.sups_below`).  Indicator counts are integer sums
-(exact, order independent); real-valued statistics are reduced with exact
-compensated summation.
+draws what its event reads.  A sup-norm event with per-term grid peaks (every
+term owns its grid columns, as on disjoint bumps) runs term major instead:
+each block of terms is drawn for all live paths at once, in pieces of at most
+half a normal tile, and a path stops drawing once it has failed (see
+:func:`~grflab.field.sups_below`).  Indicator counts are integer sums (exact,
+order independent); real-valued statistics are reduced with exact compensated
+summation.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Iterable, Union
 import numpy as np
 
 from .basis import Box
-from .field import (KLField, _blocks, _map_slices, _owners_only, apply_design,
-                    batch_seminorms, box_design, sample_batch_coeffs, sups_below)
+from .field import (KLField, _blocks, _map_slices, _peaks, apply_design, batch_seminorms,
+                    box_design, sample_batch_coeffs, sups_below)
 from .kernel import KernelSeminormSpec, kernel_distance, kernel_of, kernel_seminorm
 
 
@@ -227,14 +228,14 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
     """Probability of ``event`` under the field's law, by direct simulation.
 
     Sample ``i`` always uses stream ``(seed, i)``, so the estimate does not
-    depend on chunking and repeated runs are bit-identical.  Sup-norm events on
-    disjoint bumps run term major, over ranges of a quarter block of paths
-    (:func:`~grflab.field.sups_below`); any other event chunk by chunk.
+    depend on chunking and repeated runs are bit-identical.  Sup-norm events with
+    per-term grid peaks (disjoint bumps) run term major, over ranges of a quarter
+    block of paths (:func:`~grflab.field.sups_below`); any other event chunk by chunk.
     """
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")
     _check_event(event, field)
-    if isinstance(event, SupNormBelow) and _owners_only(field, event.box, event.order):
+    if isinstance(event, SupNormBelow) and _peaks(field, event.box, event.order) is not None:
         hits = (sups_below(field, seed, np.arange(rows.start, rows.stop), event.box, event.order,
                            event.threshold) for rows in _blocks(n_samples, 4))
     else:

@@ -20,9 +20,8 @@ from grflab import (Box, Bump, Harmonic, IllConditionedError, IntegratedBump,
 import grflab.field
 from grflab import counterexample as cx
 from grflab.basis import bump_partial
-from grflab.field import (Windowed, _column_blocks, _design, _owners_only, _sup_split,
-                          apply_design, batch_seminorms, box_design, sample_batch_coeffs,
-                          sups_below)
+from grflab.field import (Windowed, _column_blocks, _design, _peaks, apply_design,
+                          batch_seminorms, box_design, sample_batch_coeffs, sups_below)
 from grflab.jet import _jet_covariances
 from grflab.kernel import check_psd, eval_kernel_deriv_pairs
 from grflab.mc import _zero_count_rows
@@ -243,17 +242,23 @@ def test_cached_arrays_are_read_only():
     dense = box_design(field, b, (0,))
     with pytest.raises(ValueError):
         dense[0, 0] = 1.0
-    # a dense design's split for grid sups is all rest: the design itself
-    owners, peaks, rests = _sup_split(field, b, 0)
-    assert owners.size == peaks.size == 0 and rests == (dense,) and rests[0] is dense
-    assert not (owners.flags.writeable or peaks.flags.writeable)
-    # a bump field's design is windowed at every grid size
+    assert _peaks(field, b, 0) is None  # a dense design's grid sups come from the product
+    # a bump field's design is windowed at every grid size; its terms own their columns
     bumps = kl_field([Bump((0.02 * i + 0.01,), 0.005, (1.0,)) for i in range(50)])
     windowed = box_design(bumps, unit_interval(100_000), (0,))
     assert windowed.nnz > 0
-    for arr in (windowed.data, windowed.rows, windowed.cols):
+    for arr in (windowed.data, windowed.rows, windowed.cols, _peaks(bumps, unit_interval(1000), 1)):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+    # designs at points of no box are read-only as built, in both forms
+    pts = np.array([[0.7], [0.011], [0.3], [0.7]])
+    harmonic = _design(kl_field([Harmonic((3.0,), 0.2, (1.0,)), ONE]), pts, (0,), (1,))
+    windowed = _design(bumps, pts, (0,), (2,))
+    assert isinstance(harmonic, np.ndarray) and isinstance(windowed, Windowed)
+    for arr in (harmonic, windowed.data, windowed.rows, windowed.cols):
+        assert arr.size and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
 
 
 def test_a_field_builds_each_box_design_once():
@@ -277,7 +282,8 @@ def test_a_field_builds_each_box_design_once():
 
 def test_box_design_counts_one_hit_or_one_miss_per_call(monkeypatch):
     """The ``(hits, misses)`` of ``box_design.cache_info()`` move by exactly one
-    per call; a grid-sup split reaches it once when built and not when kept."""
+    per call; grid-sup peaks reach it once when first looked up and not when kept,
+    and a grid sup without peaks reads its design once."""
     dense = kl_field([ONE, T])
     bumps = kl_field([Bump((0.1 * i + 0.05,), 0.04, (1.0,)) for i in range(10)])
     b = unit_interval(32)
@@ -292,9 +298,9 @@ def test_box_design_counts_one_hit_or_one_miss_per_call(monkeypatch):
         assert moved(lambda: box_design(field, b, (1,))) == (0, 1)
         assert moved(lambda: box_design(field, b, (1,))) == (1, 0)
         assert moved(lambda: box_design(field, b, (0,), (1,))) == (0, 1)
-        assert moved(lambda: _sup_split(field, b, 1)) == (1, 0)
-        assert moved(lambda: _sup_split(field, b, 1)) == (0, 0)
-        assert moved(lambda: _sup_split(field, b, 0)) == (0, 1)
+        assert moved(lambda: _peaks(field, b, 1)) == (1, 0)
+        assert moved(lambda: _peaks(field, b, 1)) == (0, 0)
+        assert moved(lambda: _peaks(field, b, 0)) == (0, 1)
         hits, misses = box_design.cache_info()[:2]
         with monkeypatch.context() as patch, pytest.raises(MemoryError):
             patch.setattr(grflab.field, "_BLOCK_ENTRIES", 10)
@@ -302,12 +308,14 @@ def test_box_design_counts_one_hit_or_one_miss_per_call(monkeypatch):
         # a refused build is one miss and keeps nothing
         assert box_design.cache_info()[:2] == (hits, misses + 1)
         assert moved(lambda: box_design(field, unit_interval(16), (0,))) == (0, 1)
-        assert moved(lambda: batch_seminorms(field, np.ones((2, field.size)), b, 1)) == (0, 0)
+        assert (_peaks(field, b, 1) is None) == (field is dense)
+        assert moved(lambda: batch_seminorms(field, np.ones((2, field.size)), b, 1)) == (
+            (1, 0) if field is dense else (0, 0))
 
 
 def test_fields_equal_but_for_a_signed_zero_keep_their_own_designs():
     """Scaled(f, 0.0) == Scaled(f, -0.0), and so are their fields, yet each field's
-    box design and grid-sup split hold its own bits, whichever is built first."""
+    box designs, of one order and of several, hold its own bits, whichever is built first."""
     f = Harmonic((2.0,), 0.3, (1.0,))
     b = unit_interval(8)
     zeros = (0.0, -0.0)
@@ -319,21 +327,22 @@ def test_fields_equal_but_for_a_signed_zero_keep_their_own_designs():
         for i in order:
             assert box_design(fields[i], b, (1,)).tobytes() == want[i]
         fields = {i: kl_field([Scaled(f, zeros[i])]) for i in order}
-        for i in order:  # the split builds its own design of orders 0 and 1
-            assert _sup_split(fields[i], b, 1)[2][1].tobytes() == want[i]
+        for i in order:  # a design of orders 0 and 1, as grid sups read it
+            assert _column_blocks(box_design(fields[i], b, (0,), (1,)), 2)[1].tobytes() == want[i]
 
 
 def test_box_designs_are_freed_with_their_field():
     b = unit_interval(64)
     dense = kl_field([ONE, T])
     bumps = kl_field([Bump((0.1 * i + 0.05,), 0.04, (1.0,)) for i in range(10)])
+    batch_seminorms(dense, np.ones((2, 2)), b, 1)
     kept = [box_design(dense, b, (0,)), box_design(bumps, b, (0,), (1,)),
-            *_sup_split(dense, b, 1), _sup_split(bumps, b, 1)[2][0]]
-    assert isinstance(kept[1], Windowed) and isinstance(kept[-1], Windowed)
-    refs = [weakref.ref(x) for x in kept if not isinstance(x, tuple)]
+            box_design(dense, b, (0,), (1,)), _peaks(bumps, b, 1)]
+    assert isinstance(kept[1], Windowed) and isinstance(kept[-1], np.ndarray)
+    refs = [weakref.ref(x) for x in kept]
     del kept, dense, bumps
     gc.collect()
-    assert len(refs) == 5 and all(ref() is None for ref in refs)
+    assert all(ref() is None for ref in refs)
 
 
 def _per_function_design(field, pts, a):
@@ -431,8 +440,8 @@ def test_windowed_operations_round_like_csr_array(case, seed):
 @st.composite
 def box_bump_cases(draw):
     """(Scaled) bumps on a box grid: overlapping, nested inside one another
-    (a nested term owns no one-entry column), outside the box, with centres
-    and support edges on grid points or between them."""
+    (a nested term shares its columns), outside the box, with centres and
+    support edges on grid points or between them."""
     res = draw(st.integers(1, 64))
     lo = draw(st.floats(-1.0, 1.0))
     b = Box((lo,), (lo + draw(st.floats(0.1, 2.0)),), (res,))
@@ -472,29 +481,62 @@ def test_grid_sups_from_peaks_equal_the_windowed_product(case, r, seed):
     for a in range(r + 1):
         product = coeffs @ sp.csr_array(_per_function_design(field, pts, (a,)))
         want = np.maximum(want, np.max(np.abs(product), axis=1))
-    owners, peaks, (rest,) = _sup_split(field, b, r)
-    for arr in (owners, peaks, rest.data, rest.rows, rest.cols):
-        assert not arr.flags.writeable
+    peaks = _peaks(field, b, r)
+    assert peaks is None or not peaks.flags.writeable
     assert np.array_equal(batch_seminorms(field, coeffs, b, r), want)
     if case is _NESTED:
-        # the nested first term and the term outside the box own no one-entry column
-        assert _sup_split(field, b, 0)[0].tolist() == [1, 2]
+        # the nested first term shares its columns, and the term outside the box has none
+        assert peaks is None
+
+
+def test_a_grid_sup_keeps_no_second_copy_of_the_design():
+    """After a sup-norm estimate the field's store holds the box design of orders <= r
+    and, by (box, r), the read-only peaks where every term owns its columns, else None."""
+    cfg = cx.config(4)
+    centers, radius = cx.bump_layout(cfg)
+    b = cx.grid_box(cfg)
+    overlapping = kl_field([Bump((float(c),), 1.5 * radius, (1.0,)) for c in centers])
+    for field, has_peaks in ((overlapping, False), (kl_field([ONE, T]), False),
+                             (cx.build_X_n(cfg), True)):
+        estimate_probability(field, SupNormBelow(b, 1, 0.5), 200, 3)
+        design, peaks = box_design(field, b, (0,), (1,)), field._store[b, 1]
+        assert list(field._store) == [(b, ((0,), (1,))), (b, 1)]
+        assert field._store[b, ((0,), (1,))] is design
+        assert (peaks is not None) == has_peaks
+        if has_peaks:
+            assert isinstance(design, Windowed) and not peaks.flags.writeable
+            assert peaks.shape == (field.size,)
+
+
+def test_a_term_outside_the_grid_leaves_no_peaks_and_the_full_draw():
+    # disjoint bumps, and one whose support misses the grid: that term has no entry
+    cfg = cx.config(3)
+    centers, radius = cx.bump_layout(cfg)
+    b = cx.grid_box(cfg)
+    field = kl_field([*(Bump((float(c),), radius, (1.0,)) for c in centers),
+                      Bump((2.5,), radius, (1.0,))])
+    assert _peaks(field, b, 0) is None
+    sups = batch_seminorms(field, sample_batch_coeffs(field, 7, np.arange(500)), b, 0)
+    est = estimate_probability(field, SupNormBelow(b, 0, 0.8), 500, 7)
+    assert 0 < est.p_hat < 1 and est.p_hat == np.count_nonzero(sups < 0.8) / 500
 
 
 def test_grid_sups_from_peaks_overflow_to_inf_silently():
     # |c|*peak = 1e200 * 1e200: inf without a warning, as the sparse product gave
     field = kl_field([Bump((0.25,), 0.2, (1e200,)), Bump((0.75,), 0.2, (1.0,))])
     b = unit_interval(8)
-    assert _sup_split(field, b, 0)[0].tolist() == [0, 1]
-    sups = batch_seminorms(field, np.array([[1e200, 1.0], [1.0, 1.0]]), b, 0)
+    assert _peaks(field, b, 0) is not None
+    coeffs = np.array([[1e200, 1.0], [1.0, -1.0]])
+    sups = batch_seminorms(field, coeffs, b, 0)
     assert sups[0] == np.inf and sups[1] == 1e200
+    assert coeffs.tolist() == [[1e200, 1.0], [1.0, -1.0]]  # |coeffs| went to a fresh array
 
 
 @st.composite
 def sup_event_cases(draw):
     """A field whose sigmas are within 25 % of one another but for at most one term of
-    sigma 1e20 and amplitude 1e290, its grid box, and whether every term owns a column and
-    none is shared."""
+    sigma 1e20 and amplitude 1e290, its grid box, and whether its grid sups have per-term
+    peaks (every term owns its columns)."""
     kind = draw(st.sampled_from(["disjoint", "overlapping", "harmonic", "empty"]))
     if kind == "empty":
         return kl_field([], m=1, k=1), unit_interval(8), False
@@ -523,24 +565,23 @@ def test_sups_below_equals_the_full_draw(case, r, seed, first, n, level):
     fields are drawn in full, which their estimate, from sample 0, must count.  The
     threshold is ``level`` standard deviations of a typical term's grid sup, or exactly the
     grid sup of one of the samples."""
-    field, b, all_owners = case
-    owners, peaks, rests = _sup_split(field, b, r)
-    assert (owners.size == field.size > 0 and not any(x.shape[1] for x in rests)) == all_owners
-    assert _owners_only(field, b, r) == all_owners
-    if not all_owners:
+    field, b, has_peaks = case
+    peaks = _peaks(field, b, r)
+    assert (peaks is not None) == has_peaks
+    if not has_peaks:
         first, n = 0, max(n, 100)
     indices = np.arange(first, first + n)
-    # a dense product of huge terms overflows, and sums inf - inf to nan; the blocks of
-    # an all-owner split overflow to inf silently, as the full draw's peaks do
+    # a dense product of huge terms overflows, and sums inf - inf to nan; a |c| * peak
+    # overflows to inf silently, in blocks as in the full draw
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
         sups = batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r)
     # a Python float: a huge term's threshold overflows to inf without a warning
-    typical = float(np.median(peaks)) if peaks.size else 1.0
+    typical = float(np.median(peaks)) if has_peaks else 1.0
     for threshold in (level * (min(field.sigmas) if field.size else 1.0) * typical, sups[n // 2]):
-        errors = dict.fromkeys(("divide", "over", "invalid"), "raise") if all_owners else quiet
+        errors = dict.fromkeys(("divide", "over", "invalid"), "raise") if has_peaks else quiet
         with np.errstate(**errors), pytest.MonkeyPatch.context() as mp:
-            if not all_owners:
+            if not has_peaks:
                 est = estimate_probability(field, SupNormBelow(b, r, threshold), n, seed)
                 assert est.p_hat == np.count_nonzero(sups < threshold) / n
                 continue

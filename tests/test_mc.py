@@ -15,8 +15,8 @@ from grflab import (Bump, DegenerateZero, Harmonic, Monomial, PositiveOnBox, Sca
                     estimate_probability, gaussian_ratio, kl_field, limit_study,
                     normal_cdf, unit_interval)
 from grflab import counterexample as cx
-from grflab.field import (_map_slices, _owners_only, apply_design, batch_seminorms,
-                          box_design, sample_batch_coeffs)
+from grflab.field import (_map_slices, _peaks, apply_design, batch_seminorms, box_design,
+                          sample_batch_coeffs)
 from grflab.mc import _indicator_estimate, _map_chunks, _zero_count_rows
 
 ONE = Monomial((0,), (1.0,))
@@ -320,7 +320,7 @@ def test_several_slices_run_on_the_pool_and_fewer_in_the_caller(monkeypatch):
     assert _map_slices(lambda rows: threading.get_ident(), []) == []
 
 @st.composite
-def owner_cases(draw):
+def peak_cases(draw):
     """``X_n``, or 1-D disjoint bumps of random signed amplitudes and sigmas, on its grid."""
     cfg = cx.config(draw(st.integers(2, 6)), unit_interval(draw(st.integers(1, 100))))
     if draw(st.booleans()):
@@ -332,7 +332,7 @@ def owner_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(owner_cases(), st.integers(0, 1), st.integers(0, 2**31),
+@given(peak_cases(), st.integers(0, 1), st.integers(0, 2**31),
        st.sampled_from([100, 2000, 8192, 8193, 12000]),
        st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e300, np.inf]))
 def test_owner_sup_events_decided_term_major_equal_the_chunked_full_draw(case, r, seed, n,
@@ -341,7 +341,7 @@ def test_owner_sup_events_decided_term_major_equal_the_chunked_full_draw(case, r
     4,097 paths, the first block (16 terms) spans two pieces of half a normal tile, from
     8,193 three."""
     field, b = case
-    assert _owners_only(field, b, r)
+    assert _peaks(field, b, r) is not None
     want = sum(_map_chunks(lambda rows: np.count_nonzero(batch_seminorms(field, sample_batch_coeffs(
         field, seed, np.arange(rows.start, rows.stop)), b, r) < threshold), field, b, n))
     assert estimate_probability(field, SupNormBelow(b, r, threshold), n, seed).p_hat == want / n
