@@ -431,7 +431,7 @@ def run(argv=None) -> int:
     except SchemaError as exc:
         print(f"grflab: schema error at {exc.pointer}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (GrflabError, ValueError, OSError, MemoryError, ArithmeticError) as exc:
+    except (GrflabError, ValueError, OSError, MemoryError, ArithmeticError, RecursionError) as exc:
         print(f"grflab: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     return code

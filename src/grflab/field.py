@@ -7,9 +7,9 @@ covariance and support identities below hold exactly for it, not just in
 the limit.
 
 Sampling is reproducible: coefficient draws come from a named
-:class:`~grflab.rng.RandomStream`, and Monte Carlo code derives one stream
-per sample index, so identical ``(seed, index)`` always yields bit-identical
-coefficients and windowed-design values.  BLAS may round the last bits of a
+:class:`~grflab.rng.RandomStream`, and :mod:`grflab.mc`, which schedules all Monte Carlo
+work, derives one stream per sample index, so identical ``(seed, index)`` always yields
+bit-identical coefficients and windowed-design values.  BLAS may round the last bits of a
 dense product differently with its row count, so such loops use fixed sizes.
 
 Designs read the field's family table and build every requested
@@ -19,8 +19,6 @@ Grid sups read per-term peaks where every term owns its grid columns, the produc
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -30,14 +28,13 @@ import numpy as np
 from .basis import BasisFunction, Box, Bump, bump_partial, evaluate, families, grid_points
 from .linalg import solve_psd_pinv
 from .multiindex import multi_indices, validate as mi_validate
-from .rng import _TILE, RandomStream, normal_matrix
+from .rng import RandomStream, normal_matrix
 
 # entry budget of one dense block: a dense design above it is refused, and
 # point, pair and sample loops are cut by ``_blocks`` to stay within it
 _BLOCK_ENTRIES = 4_000_000
 _TILE_ENTRIES = 40_000  # one dense kernel-distance pair tile, 320 kB: it stays in L2
 _lookups = [0, 0]  # hits and misses of box_design, read by box_design.cache_info()
-_FIRST_TERMS = 16  # terms in the first coefficient block of sups_below; each later one doubles
 
 
 @dataclass(frozen=True)
@@ -171,35 +168,6 @@ def _blocks(n: int, per_item: int, budget: int | None = None):
         yield slice(start, min(start + step, n))
 
 
-def _usable_cores() -> int:
-    # the cores this process may run on (``taskset`` restricts them), where
-    # the platform says so
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_slices(fn, slices: list) -> list:
-    """``fn`` of each of the slices, in order: the Monte Carlo pool.
-
-    Fewer than two slices run in the caller and open no pool; more run on at
-    most ``min(usable cores, 4)`` threads, so quarter-block chunks in flight
-    hold at most one block.  Every slice runs under the caller's
-    floating-point error state, which threads do not inherit.
-    """
-    def run(rows: slice, errors=np.geterr()):
-        with np.errstate(**errors):
-            return fn(rows)
-
-    if len(slices) < 2:
-        return [run(rows) for rows in slices]
-    threads = min(_usable_cores(), 4, len(slices))
-    # looked up here: concurrent.futures loads its thread module on first use,
-    # so a command that opens no pool does not import it
-    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(run, slices))
-
-
 def _windowed(field: KLField) -> bool:
     """A non-empty field of (scaled) bumps with m = k = 1."""
     table = field._families
@@ -286,8 +254,8 @@ class Windowed:
         return Windowed(self.rows[inside], new[self.cols[inside]], self.data[inside],
                         (self.shape[0], kept.size))
 
-    def sum(self, axis: int) -> np.ndarray:
-        return np.ones(self.shape[0]) @ self if axis == 0 else self @ np.ones(self.shape[1])
+    def sum(self, axis: int) -> np.ndarray:  # bins add in entry order from 0.0, as `@` does
+        return np.bincount(self.rows if axis else self.cols, self.data, self.shape[1 - axis])
 
     def max(self, axis=None):
         """Largest entry, with the zeros of columns that are not full: of all, or per column."""
@@ -433,37 +401,6 @@ def batch_seminorms(field: KLField, coeffs: np.ndarray, b: Box, r: int) -> np.nd
         # vals is a fresh array: take |vals| in place, not in a chunk-sized temporary
         np.maximum(best, np.max(np.abs(vals, out=vals), axis=1), out=best)
     return best
-
-
-def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float) -> np.ndarray:
-    """``batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold``
-    for a field with grid-sup :func:`_peaks`.
-
-    The grid sup is then the largest ``|c_n|*peak_n``, so coefficients are
-    drawn in blocks of ``_FIRST_TERMS`` terms, then twice as many each time,
-    and a sample stops at the first block whose largest ``|c_n|*peak_n`` is
-    not below the threshold (nan included).  A block's live samples are cut
-    into pieces of at most half a normal tile (``rng._TILE // 2`` draws, or one
-    sample if its block is wider), so a block of more than half a tile runs
-    on :func:`_map_slices`' pool: pieces change no bit.  The counterexample
-    ``X_n``, each of whose terms fails ``sup < 1`` with probability 1/n, draws
-    about 1.5 n of its n^2.
-    """
-    indices, sigmas, peaks = np.asarray(indices), field.sigma_array, _peaks(field, b, r)
-    below = np.ones(indices.shape[0], dtype=bool)
-    start, width = 0, _FIRST_TERMS
-    while start < field.size and below.any():
-        alive, stop = np.flatnonzero(below), min(start + width, field.size)
-
-        def decide(rows: slice) -> np.ndarray:
-            vals = normal_matrix(seed, indices[alive[rows]], stop - start, offset=start)
-            vals *= sigmas[start:stop]  # as in sample_batch_coeffs, then batch_seminorms
-            return _sups_from_peaks(vals, peaks[start:stop], out=vals) < threshold
-
-        pieces = list(_blocks(alive.size, stop - start, _TILE // 2))
-        below[alive] = np.concatenate(_map_slices(decide, pieces))
-        start, width = stop, 2 * width
-    return below
 
 
 def sample_seminorm(path: SamplePath, b: Box, r: int) -> float:

@@ -1,30 +1,33 @@
 """Monte Carlo estimation of path-event probabilities and sup-norm means.
 
 Events are deterministic predicates of a sample path restricted to a box
-grid.  Estimation derives one random stream per sample index, so estimates
-are reproducible bit-for-bit from ``(seed, n_samples, event)``, and chunks
-of indices run on several threads without changing the result.  Each chunk
-draws what its event reads.  A sup-norm event with per-term grid peaks (every
-term owns its grid columns, as on disjoint bumps) runs term major instead:
-each block of terms is drawn for all live paths at once, in pieces of at most
-half a normal tile, and a path stops drawing once it has failed (see
-:func:`~grflab.field.sups_below`).  Indicator counts are integer sums (exact,
-order independent); real-valued statistics are reduced with exact compensated
-summation.
+grid.  One random stream per sample index makes estimates reproducible bit
+for bit from ``(seed, n_samples, event)``, whatever the schedule this module
+sets: chunks of a quarter block draw what their event reads, and a sup-norm
+event with per-term grid peaks (as on disjoint bumps) runs term major, in
+blocks of terms drawn for all live paths until they fail (:func:`sups_below`);
+pieces run on the pool of :func:`_map_slices`.  Indicator counts are integer
+sums (exact, order independent); real-valued statistics are reduced with exact
+compensated summation.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
 from .basis import Box
-from .field import (KLField, _blocks, _map_slices, _peaks, apply_design, batch_seminorms,
-                    box_design, sample_batch_coeffs, sups_below)
+from .field import (KLField, _blocks, _peaks, _sups_from_peaks, apply_design, batch_seminorms,
+                    box_design, sample_batch_coeffs)
 from .kernel import KernelSeminormSpec, kernel_distance, kernel_of, kernel_seminorm
+from .rng import _TILE, normal_matrix
+
+_FIRST_TERMS = 16  # terms in the first coefficient block of sups_below; each later one doubles
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +218,72 @@ def _mean_estimate(values: np.ndarray, seed: int) -> MCEstimate:
     return MCEstimate(mean, se, n, seed, (mean - 1.96 * se, mean + 1.96 * se))
 
 
+def _usable_cores() -> int:
+    # the cores this process may run on (``taskset`` restricts them), where
+    # the platform says so
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_slices(fn, slices: list) -> list:
+    """``fn`` of each of the slices, in order: the Monte Carlo pool.
+
+    The slices run on ``min(usable cores, 4, len(slices))`` threads, so
+    quarter-block chunks in flight hold at most one block; fewer than two
+    threads run in the caller and open no pool.  Every slice runs under the
+    caller's floating-point error state, which threads do not inherit.
+    """
+    def run(rows: slice, errors=np.geterr()):
+        with np.errstate(**errors):
+            return fn(rows)
+
+    threads = min(_usable_cores(), 4, len(slices))
+    if threads < 2:
+        return [run(rows) for rows in slices]
+    # looked up here: concurrent.futures loads its thread module on first use,
+    # so a command that opens no pool does not import it
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(run, slices))
+
+
 def _map_chunks(fn, field: KLField, b: Box, n_samples: int) -> list:
     """``fn`` of each chunk of 0 .. n_samples-1, a quarter block of coefficients and grid
     values whatever the cores, in order.  The caller runs the first chunk, which fills the
     field's design store, and :func:`_map_slices` the rest."""
     first, *rest = _blocks(n_samples, 4 * (b.n_grid_points * field.k + field.size))
     return [fn(first), *_map_slices(fn, rest)]
+
+
+def sups_below(field: KLField, seed: int, indices, b: Box, r: int, threshold: float) -> np.ndarray:
+    """``batch_seminorms(field, sample_batch_coeffs(field, seed, indices), b, r) < threshold``
+    for a field with grid-sup peaks (:func:`~grflab.field._peaks`).
+
+    The grid sup is then the largest ``|c_n|*peak_n``, so coefficients are
+    drawn in blocks of ``_FIRST_TERMS`` terms, then twice as many each time,
+    and a sample stops at the first block whose largest ``|c_n|*peak_n`` is
+    not below the threshold (nan included).  A block's live samples are cut
+    into pieces of at most half a normal tile (``rng._TILE // 2`` draws, or one
+    sample if its block is wider), so a block of more than half a tile runs
+    on the :func:`_map_slices` pool: pieces change no bit.  The counterexample
+    ``X_n``, each of whose terms fails ``sup < 1`` with probability 1/n, draws
+    about 1.5 n of its n^2.
+    """
+    indices, sigmas, peaks = np.asarray(indices), field.sigma_array, _peaks(field, b, r)
+    below = np.ones(indices.shape[0], dtype=bool)
+    start, width = 0, _FIRST_TERMS
+    while start < field.size and below.any():
+        alive, stop = np.flatnonzero(below), min(start + width, field.size)
+
+        def decide(rows: slice) -> np.ndarray:
+            vals = normal_matrix(seed, indices[alive[rows]], stop - start, offset=start)
+            vals *= sigmas[start:stop]  # as in sample_batch_coeffs, then batch_seminorms
+            return _sups_from_peaks(vals, peaks[start:stop], out=vals) < threshold
+
+        pieces = list(_blocks(alive.size, stop - start, _TILE // 2))
+        below[alive] = np.concatenate(_map_slices(decide, pieces))
+        start, width = stop, 2 * width
+    return below
 
 
 def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 20000,
@@ -230,7 +293,7 @@ def estimate_probability(field: KLField, event: EventSpec, n_samples: int = 2000
     Sample ``i`` always uses stream ``(seed, i)``, so the estimate does not
     depend on chunking and repeated runs are bit-identical.  Sup-norm events with
     per-term grid peaks (disjoint bumps) run term major, over ranges of a quarter
-    block of paths (:func:`~grflab.field.sups_below`); any other event chunk by chunk.
+    block of paths (:func:`sups_below`); any other event chunk by chunk.
     """
     if n_samples < 100:
         raise ValueError("need n_samples >= 100")

@@ -282,6 +282,21 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, target):
     assert list(tmp_path.rglob("*")) == [tmp_path / "directory"]
 
 
+def test_a_deeply_nested_document_is_one_error_line(tmp_path):
+    # 300 nested scaled terms exceed Python's recursion limit while the field is read
+    term = {"type": "bump", "center": [0.5], "radius": 0.3, "amplitude": [1.0]}
+    for _ in range(300):
+        term = {"type": "scaled", "factor": 1.0, "inner": term}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"m": 1, "k": 1, "basis": [term]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-m", "grflab.cli", "seminorm", "--field", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("grflab: error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         run(["no-such-command"])

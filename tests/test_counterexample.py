@@ -8,7 +8,7 @@ from grflab import (BUMP_MAX_DERIV_ORDER, Bump, IntegratedBump, KernelSeminormSp
                     KLField, OrderUnsupportedError, SamplePath, SupNormBelow,
                     estimate_probability, eval_kernel, eval_sample, fd_check,
                     field_digest, kernel_of, kernel_seminorm, kl_field)
-import grflab.field
+import grflab.mc
 from grflab import counterexample as cx
 from grflab.basis import _partial_moments, box, families, grid_points, unit_interval
 from grflab.field import batch_seminorms, sample_batch_coeffs
@@ -170,7 +170,7 @@ def test_small_ball_estimate_draws_about_n_coefficients_per_path(monkeypatch):
         drawn.append(z.size)
         return z
 
-    monkeypatch.setattr(grflab.field, "normal_matrix", counted)
+    monkeypatch.setattr(grflab.mc, "normal_matrix", counted)
     est = estimate_probability(f, event, paths, 7)
     assert sum(drawn) / paths < 3 * n  # a full draw reads n^2 = 900
     monkeypatch.undo()
@@ -191,7 +191,7 @@ def test_small_ball_estimate_of_x_100_draws_in_a_few_calls_of_at_most_one_tile(m
         drawn.append(z.size)
         return z
 
-    monkeypatch.setattr(grflab.field, "normal_matrix", counted)
+    monkeypatch.setattr(grflab.mc, "normal_matrix", counted)
     est = estimate_probability(f, event, 500, 7)
     assert len(drawn) <= 10 and max(drawn) <= 2 ** 17
     assert sum(drawn) == 72_352  # 144.7 of the 10,000 terms per path

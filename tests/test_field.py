@@ -18,13 +18,14 @@ from grflab import (Box, Bump, Harmonic, IllConditionedError, IntegratedBump,
                     sample, sample_seminorm, scan_nondegeneracy, support_basis,
                     unit_interval)
 import grflab.field
+import grflab.mc
 from grflab import counterexample as cx
 from grflab.basis import bump_partial
 from grflab.field import (Windowed, _column_blocks, _design, _peaks, apply_design,
-                          batch_seminorms, box_design, sample_batch_coeffs, sups_below)
+                          batch_seminorms, box_design, sample_batch_coeffs)
 from grflab.jet import _jet_covariances
 from grflab.kernel import check_psd, eval_kernel_deriv_pairs
-from grflab.mc import _zero_count_rows
+from grflab.mc import _zero_count_rows, sups_below
 from grflab.multiindex import multi_indices
 
 ONE = Monomial((0,), (1.0,))
@@ -437,6 +438,18 @@ def test_windowed_operations_round_like_csr_array(case, seed):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def test_windowed_sums_round_like_csr_array():
+    """Column and row sums bit for bit: a column whose sum depends on its order, one whose
+    entries cancel, signed zeros, which a Windowed drops and a csr_array stores."""
+    rows, cols = np.divmod(np.arange(12), 4)
+    data = np.array([1e300, 1.0, -0.0, 0.5, 1e-300, -1.0, 0.0, -0.5, -1e300, -0.0, -0.0, 1e-300])
+    W, S = Windowed(rows, cols, data, (3, 4)), sp.csr_array((data, (rows, cols)), shape=(3, 4))
+    assert W.nnz == 8 and S.nnz == 12
+    for got, want in [(W.sum(axis=0), S.sum(axis=0)), (W.sum(axis=1), S @ np.ones(4))]:
+        assert got.tobytes() == np.asarray(want).tobytes()
+    assert W.sum(axis=0).tolist() == [0.0, 0.0, 0.0, 1e-300]
+
+
 @st.composite
 def box_bump_cases(draw):
     """(Scaled) bumps on a box grid: overlapping, nested inside one another
@@ -587,7 +600,7 @@ def test_sups_below_equals_the_full_draw(case, r, seed, first, n, level):
                 continue
             assert np.array_equal(sups_below(field, seed, indices, b, r, threshold),
                                   sups < threshold)
-            mp.setattr(grflab.field, "_FIRST_TERMS", 3)
+            mp.setattr(grflab.mc, "_FIRST_TERMS", 3)
             assert np.array_equal(sups_below(field, seed, indices, b, r, threshold),
                                   sups < threshold)
 

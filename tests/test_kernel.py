@@ -237,6 +237,42 @@ def test_check_symmetry_of_an_overflowing_expansion_kernel_is_not_a_number(amp):
             check_symmetry(kernel_of(field), pairs)
 
 
+def test_check_symmetry_evaluates_a_covariance_kernel_once(monkeypatch):
+    field = kl_field([Monomial((1, 2), (1.0, 0.5)), Harmonic((1.0, 2.0), 0.3, (1.0, -0.2)),
+                      Bump((0.4, 0.6), 0.5, (1.0, 0.7))], (1.0, 0.7, 1.3))
+    pairs = np.random.default_rng(3).random((5, 2, 2))
+    evaluate, calls = eval_kernel_deriv_pairs, []
+    monkeypatch.setattr(grflab.kernel, "eval_kernel_deriv_pairs",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    for K in (kernel_of(field), ClosedFormKernel("exp_dot", 2)):
+        calls.clear()
+        assert check_symmetry(K, pairs).max_violation == 0.0
+        assert len(calls) == 1 and calls[0][0] is K
+
+
+@st.composite
+def kernel_pair_cases(draw):
+    """A closed-form or expansion kernel (m = 1-3, k = 1-2) and random point pairs."""
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        K = ClosedFormKernel(draw(st.sampled_from(["dot", "affine_dot", "exp_dot"])), m)
+    else:
+        K = kernel_of(_random_field(draw, m, draw(st.integers(1, 2))))
+    shape = (2, draw(st.integers(1, 30)), m)
+    return K, np.random.default_rng(draw(st.integers(0, 2**32))).uniform(-2.0, 2.0, shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_pair_cases())
+def test_kernel_pair_values_are_exactly_symmetric(case):
+    """K(q, p)^T is K(p, q) bit for bit for both kinds of kernel, so check_symmetry's
+    one evaluation reports what two would."""
+    K, (P, Q) = case
+    zero = (0,) * K.m
+    assert np.array_equal(eval_kernel_deriv_pairs(K, P, Q, zero, zero),
+                          eval_kernel_deriv_pairs(K, Q, P, zero, zero).transpose(0, 2, 1))
+
+
 def test_kernel_distance_of_all_nan_tiles_is_not_a_number(monkeypatch):
     # the merged weights are +-1e300 and each entry inf - inf: every tile's max is nan,
     # which the running max keeps, in one tile or in one tile per grid row

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grflab.field
+import grflab.mc
 from grflab import (Bump, DegenerateZero, Harmonic, Monomial, PositiveOnBox, Scaled,
                     SupNormBelow, ZeroCountEquals, empirical_sup_mean,
                     estimate_probability, gaussian_ratio, kl_field, limit_study,
                     normal_cdf, unit_interval)
 from grflab import counterexample as cx
-from grflab.field import (_map_slices, _peaks, apply_design, batch_seminorms, box_design,
-                          sample_batch_coeffs)
-from grflab.mc import _indicator_estimate, _map_chunks, _zero_count_rows
+from grflab.field import _peaks, apply_design, batch_seminorms, box_design, sample_batch_coeffs
+from grflab.mc import _indicator_estimate, _map_chunks, _map_slices, _zero_count_rows
 
 ONE = Monomial((0,), (1.0,))
 T = Monomial((1,), (1.0,))
@@ -279,7 +279,7 @@ def test_many_chunks_on_the_pool_equal_one_chunk(monkeypatch):
     # result depends neither on the number of threads nor on how they interleave
     monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 37 * per_sample)
     for cores in (1, 2, 4):
-        monkeypatch.setattr(grflab.field, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -289,6 +289,7 @@ def test_many_chunks_on_the_pool_equal_one_chunk(monkeypatch):
 
 
 def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
+    monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: 4)
     b = unit_interval(20)
     per_sample = 21 + MIXED.size
     monkeypatch.setattr(grflab.field, "_BLOCK_ENTRIES", 4 * 10 * per_sample + 3)
@@ -311,6 +312,7 @@ def test_chunks_are_quarter_blocks_first_in_the_caller(monkeypatch):
 
 
 def test_several_slices_run_on_the_pool_and_fewer_in_the_caller(monkeypatch):
+    monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: 4)
     slices = [slice(i, i + 1) for i in range(5)]
     seen = _map_slices(lambda rows: (rows.start, threading.get_ident()), slices)
     assert [start for start, _ in seen] == list(range(5))
@@ -318,6 +320,16 @@ def test_several_slices_run_on_the_pool_and_fewer_in_the_caller(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
     assert _map_slices(lambda rows: threading.get_ident(), slices[:1]) == [threading.get_ident()]
     assert _map_slices(lambda rows: threading.get_ident(), []) == []
+
+
+def test_one_usable_core_runs_every_slice_in_the_caller(monkeypatch):
+    # as under ``taskset -c 0``: a pool of one thread would leave the caller waiting
+    monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    seen = _map_slices(lambda rows: (rows.start, threading.get_ident()),
+                       [slice(i, i + 1) for i in range(5)])
+    assert seen == [(i, threading.get_ident()) for i in range(5)]
+
 
 @st.composite
 def peak_cases(draw):
@@ -352,21 +364,22 @@ def test_term_major_pieces_do_not_depend_on_the_usable_cores(monkeypatch):
     field, event = cx.build_X_n(cfg), SupNormBelow(cx.grid_box(cfg), 0, 1.5)
     want = estimate_probability(field, event, 3000, 11)
     assert 0.1 < want.p_hat < 0.5  # paths stop in every block of 16, 32 and 52 terms
-    # pieces of 18 paths (half the tile) in the first block: 167 pieces, all on the pool
-    monkeypatch.setattr(grflab.field, "_TILE", 16 * 37)
+    # pieces of 18 paths (half the tile) in the first block: 167 pieces, on the pool
+    # where two or more cores are usable, in the caller where one is
+    monkeypatch.setattr(grflab.mc, "_TILE", 16 * 37)
     pools = []
     pool = concurrent.futures.ThreadPoolExecutor
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda threads: pools.append(threads) or pool(threads))
     for cores in (1, 4):
-        monkeypatch.setattr(grflab.field, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(grflab.mc, "_usable_cores", lambda: cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             assert estimate_probability(field, event, 3000, 11) == want
         finally:
             sys.setswitchinterval(interval)
-        assert pools and set(pools) == {cores}
+        assert set(pools) == (set() if cores == 1 else {cores})  # one core opens no pool
         pools.clear()
 
 
